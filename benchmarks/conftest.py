@@ -26,7 +26,6 @@ def pytest_report_header(config):
     (``$REPRO_STORE_COMMIT``) and the backend that produced it.
     """
     from repro.attacks.parallel import default_workers
-    from repro.core.batch import resolve_array_namespace
     from repro.obs import get_registry
     from repro.passwords.storage import commit_mode
     from repro.serving.cluster import default_cluster_workers
@@ -39,7 +38,7 @@ def pytest_report_header(config):
         f"mode={mode}, task size={task_size}; "
         f"serving cluster: {default_cluster_workers()} shard worker(s) "
         f"($CLUSTER_WORKERS); "
-        f"array backend: {resolve_array_namespace().__name__}; "
+        "array backend: numpy; "
         f"obs registry: {obs}; "
         f"storage commit mode: {commit_mode()} ($REPRO_STORE_COMMIT)"
     )

@@ -44,7 +44,6 @@ from repro.attacks.offline import (
     parse_password_file,
 )
 from repro.attacks.parallel import ShardedAttackRunner, default_workers
-from repro.core.batch import resolve_array_namespace
 from repro.core.centered import CenteredDiscretization
 from repro.crypto.hashing import Hasher
 from repro.experiments.common import (
@@ -117,7 +116,6 @@ def test_parallel_attack_throughput(
     records, dictionary = stolen_workload
     skewed, _ = skewed_workload
     cores = default_workers()
-    backend = resolve_array_namespace().__name__
     gated = cores >= GATE_WORKERS
 
     # -- uniform workload: serial vs 1 worker vs 4-worker queue ------------
@@ -186,7 +184,7 @@ def test_parallel_attack_throughput(
     lines = [
         f"work-stealing attack engine — {ACCOUNTS} stolen records × "
         f"{GUESS_BUDGET} guesses ({SCHEME.name}, r=9)",
-        f"workers detected: {cores}; array backend: {backend}",
+        f"workers detected: {cores}; array backend: numpy",
         "",
         "uniform workload (field-study accounts, none crack):",
         f"  {'path':<26} {'seconds':>9} {'records/s':>11}",

@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.centered import CenteredDiscretization
 from repro.errors import LockoutError
 from repro.geometry.point import Point
+from repro.obs.metrics import quantile
 from repro.passwords.passpoints import PassPointsSystem
 from repro.passwords.policy import LockoutPolicy
 from repro.passwords.storage import ShardedBackend, backend_from_uri
@@ -43,7 +44,6 @@ from repro.serving import (
     default_cluster_workers,
     flood_server,
     mixed_stream,
-    percentile,
     synthetic_points,
 )
 from repro.study.image import cars_image
@@ -342,9 +342,9 @@ def test_cluster_reshard_drill(reports_dir, tmp_path, capsys, json_report):
         final.close()
 
     decided = len(latencies)
-    p50 = percentile(latencies, 0.50) or 0.0
-    p95 = percentile(latencies, 0.95) or 0.0
-    p99 = percentile(latencies, 0.99) or 0.0
+    p50 = quantile(latencies, 0.50) or 0.0
+    p95 = quantile(latencies, 0.95) or 0.0
+    p99 = quantile(latencies, 0.99) or 0.0
     windows = ", ".join(f"{w * 1000.0:.0f}" for w in report.cutover_seconds)
     lines = [
         "",

@@ -189,8 +189,7 @@ def empirical_cell_distribution(
     """
     import numpy as np
 
-    # Pinned to numpy: the cell counting below runs on host arrays.
-    batch = scheme.batch(xp=np).enroll(points)
+    batch = scheme.batch().enroll(points)
     keys = batch.secret
     if batch.public.ndim == 1:  # robust: grid identifier distinguishes cells
         keys = np.column_stack([batch.public, batch.secret])

@@ -251,7 +251,7 @@ class HumanSeededDictionary:
                 f"expected {self.tuple_length} enrollments, got "
                 f"{len(enrollments)}"
             )
-        kernel = scheme.batch(xp=np)  # host pipeline: np ops on every mask
+        kernel = scheme.batch()
         seeds = self.seed_array()
         return tuple(
             tuple(int(i) for i in np.nonzero(kernel.accepts(enrollment, seeds))[0])
@@ -278,7 +278,7 @@ class HumanSeededDictionary:
                 f"expected {self.tuple_length} enrolled positions, got "
                 f"{positions}"
             )
-        kernel = scheme.batch(xp=np)  # host pipeline: np.tile/np.repeat below
+        kernel = scheme.batch()
         seeds = self.seed_array()
         pool = len(seeds)
         tiled_seeds = np.tile(seeds, (positions, 1))

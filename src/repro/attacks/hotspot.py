@@ -143,7 +143,7 @@ def hotspot_coverage(
         clicks.extend(sample.points)
     if not clicks:
         raise AttackError("no target click-points")
-    kernel = scheme.batch(xp=np)  # host pipeline: masks accumulate in np
+    kernel = scheme.batch()
     points = as_point_array(clicks, scheme.dim)
     covered = np.zeros(len(points), dtype=bool)
     for hotspot in hotspots:

@@ -198,9 +198,7 @@ def offline_attack_known_identifiers(
     for password in passwords:
         # Whole-password batch enrollment + one (positions, N) mask per
         # password: a single kernel call answers every position at once.
-        # The kernel is pinned to numpy: this pipeline interleaves host
-        # python (match sets, the permanent) with every kernel output.
-        enrollment = scheme.batch(xp=np).enroll(password.points)
+        enrollment = scheme.batch().enroll(password.points)
         mask = dictionary.match_mask_batch(scheme, enrollment)
         match_lists = list(HumanSeededDictionary.match_sets_from_mask(mask))
         cracked = HumanSeededDictionary.has_injective_assignment(match_lists)
@@ -559,9 +557,7 @@ def offline_attack_stolen_file(
             f"guess batch has {batch.clicks}-click entries, dictionary "
             f"tuples have {dictionary.tuple_length}"
         )
-    # Pinned to numpy: the grind tiles public rows with host np.tile and
-    # hashes per located row — a device backend would only add transfers.
-    kernel = scheme.batch(xp=np)
+    kernel = scheme.batch()
 
     outcomes: List[StolenAccountOutcome] = []
     for username in sorted(records):

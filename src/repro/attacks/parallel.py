@@ -62,8 +62,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.attacks.dictionary import HumanSeededDictionary
 from repro.attacks.offline import (
     GUESS_CHUNK,
@@ -359,7 +357,7 @@ class _WorkerRuntime:
         self.payload = payload
         self.scheme = payload.scheme_spec.build()
         self.dictionary = payload.dictionary_spec.build()
-        self.kernel = self.scheme.batch(xp=np)
+        self.kernel = self.scheme.batch()
         self.guesses: Optional[GuessBatch] = (
             prepare_guess_batch(
                 self.dictionary, payload.guess_budget, self.scheme.dim

@@ -40,28 +40,11 @@ spacing of genuinely distinct margins, far above float error) as tied and
 breaks toward the lowest grid identifier — the same tie-break as the
 scalar path, so enrollments agree bit-for-bit on pixel data; the property
 tests in ``tests/test_core_batch.py`` assert exactly that.
-
-**Array namespaces.**  Every kernel op goes through an injected array
-namespace ``xp`` — any module or object duck-typing the NumPy API
-(``asarray``, ``floor_divide``, ``mod``, …).  The default is NumPy, which
-keeps the float64 exactness argument above and the Robust tie-break
-epsilon byte-for-byte unchanged; ``cupy`` or ``jax.numpy`` drop in via
-``scheme.batch(xp=cupy)`` or the ``REPRO_ARRAY_BACKEND`` environment
-variable (``numpy`` / ``cupy`` / ``jax``, read when the default kernel is
-first built) because the kernels are pure elementwise
-floor-divide/mod/compare — exactly the shape accelerators execute well.
-Host-side inputs (:class:`~repro.geometry.point.Point` sequences, numpy
-arrays) are validated on the host and shipped through ``xp.asarray``;
-device arrays pass straight through.  Accelerator backends remain
-optional: nothing in this module imports them unless asked, and the smoke
-tests skip cleanly when they are not installed.
 """
 
 from __future__ import annotations
 
 import abc
-import importlib
-import os
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
@@ -83,83 +66,15 @@ __all__ = [
     "CenteredBatchKernel",
     "RobustBatchKernel",
     "StaticBatchKernel",
-    "array_namespace_from_name",
     "as_point_array",
     "batch_kernel_for",
     "discretize_batch",
-    "resolve_array_namespace",
     "verify_batch",
     "acceptance_region_batch",
 ]
 
 #: Anything the batch API accepts as a set of points.
 PointArrayLike = Union["np.ndarray", Sequence[Point], Sequence[Sequence[float]]]
-
-#: Environment variable naming the default array backend.
-ARRAY_BACKEND_ENV = "REPRO_ARRAY_BACKEND"
-
-#: Recognized backend names → importable array-namespace modules.
-_BACKEND_MODULES = {
-    "numpy": "numpy",
-    "cupy": "cupy",
-    "jax": "jax.numpy",
-    "jax.numpy": "jax.numpy",
-}
-
-#: Attributes a namespace must expose to drive the kernels (spot check —
-#: the contract is "duck-types the NumPy API used by this module").
-_REQUIRED_NAMESPACE_ATTRS = ("asarray", "floor_divide", "mod", "all", "tile")
-
-
-def array_namespace_from_name(name: str):
-    """Import the array namespace for a backend *name*.
-
-    Accepts ``"numpy"``, ``"cupy"``, ``"jax"`` (→ ``jax.numpy``) or
-    ``"jax.numpy"``; raises :class:`~repro.errors.ParameterError` for
-    unknown names and for recognized backends that are not installed, so a
-    typo'd or unavailable ``REPRO_ARRAY_BACKEND`` fails loudly instead of
-    silently computing on the wrong device.
-    """
-    key = name.strip().lower()
-    if key not in _BACKEND_MODULES:
-        raise ParameterError(
-            f"unknown array backend {name!r}; known: "
-            f"{sorted(set(_BACKEND_MODULES))}"
-        )
-    try:
-        if _BACKEND_MODULES[key] == "jax.numpy":
-            # jax silently canonicalizes float64 down to float32 unless x64
-            # is on — which would void the kernels' exactness contract (the
-            # Robust tie-break epsilon sits far below float32 error at
-            # pixel scale), so selecting jax by name opts into x64.
-            jax = importlib.import_module("jax")
-            jax.config.update("jax_enable_x64", True)
-        return importlib.import_module(_BACKEND_MODULES[key])
-    except ImportError as exc:
-        raise ParameterError(
-            f"array backend {name!r} is not installed ({exc})"
-        ) from exc
-
-
-def resolve_array_namespace(xp=None):
-    """Resolve *xp* to a concrete array namespace.
-
-    ``None`` consults ``REPRO_ARRAY_BACKEND`` and falls back to NumPy; a
-    string goes through :func:`array_namespace_from_name`; anything else
-    is validated to duck-type the NumPy surface the kernels use and
-    returned as-is (this is how a custom or wrapped namespace injects).
-    """
-    if xp is None:
-        name = os.environ.get(ARRAY_BACKEND_ENV, "").strip()
-        return array_namespace_from_name(name) if name else np
-    if isinstance(xp, str):
-        return array_namespace_from_name(xp)
-    missing = [a for a in _REQUIRED_NAMESPACE_ATTRS if not hasattr(xp, a)]
-    if missing:
-        raise ParameterError(
-            f"object {xp!r} is not an array namespace (missing {missing})"
-        )
-    return xp
 
 
 def as_point_array(points: PointArrayLike, dim: int | None = None) -> np.ndarray:
@@ -275,16 +190,12 @@ class BatchKernel(abc.ABC):
     """Vectorized counterpart of one :class:`DiscretizationScheme` instance.
 
     Obtained via :meth:`DiscretizationScheme.batch`; stateless beyond
-    float64 copies of the scheme's parameters (held as arrays of the
-    kernel's namespace), so one kernel serves any number of batches
-    concurrently.  *xp* selects the array namespace — see the module
-    docstring; the default (NumPy, or ``REPRO_ARRAY_BACKEND``) preserves
-    the library's exactness guarantees unchanged.
+    float64 copies of the scheme's parameters, so one kernel serves any
+    number of batches concurrently.
     """
 
-    def __init__(self, scheme: DiscretizationScheme, xp=None) -> None:
+    def __init__(self, scheme: DiscretizationScheme) -> None:
         self._scheme = scheme
-        self._xp = resolve_array_namespace(xp)
 
     @property
     def scheme(self) -> DiscretizationScheme:
@@ -292,40 +203,9 @@ class BatchKernel(abc.ABC):
         return self._scheme
 
     @property
-    def xp(self):
-        """The array namespace every op of this kernel routes through."""
-        return self._xp
-
-    @property
     def dim(self) -> int:
         """Dimensionality of the underlying scheme."""
         return self._scheme.dim
-
-    def _points(self, points: PointArrayLike):
-        """Coerce *points* to an ``(N, dim)`` float64 array of this namespace.
-
-        Host-side inputs (numpy arrays, :class:`Point`/coordinate
-        sequences) run through :func:`as_point_array` for full validation,
-        then ship to the namespace; anything else (a device array of the
-        injected namespace) passes through ``xp.asarray`` with shape
-        checks only, avoiding a device→host round trip.
-        """
-        xp = self._xp
-        if xp is np or isinstance(points, (np.ndarray, Point, list, tuple)):
-            host = as_point_array(points, self.dim)
-            return host if xp is np else xp.asarray(host, dtype=xp.float64)
-        array = xp.asarray(points, dtype=xp.float64)
-        if array.ndim == 1:
-            array = array.reshape(1, -1)
-        if array.ndim != 2:
-            raise ParameterError(
-                f"points must be an (N, dim) array, got shape {array.shape}"
-            )
-        if array.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"points are {array.shape[1]}-D, scheme is {self.dim}-D"
-            )
-        return array
 
     # -- abstract ----------------------------------------------------------
 
@@ -367,14 +247,14 @@ class BatchKernel(abc.ABC):
         candidates.
         """
         public, secret = self._material(discretization)
-        points = self._points(candidates)
+        points = as_point_array(candidates, self.dim)
         if len(secret) not in (1, len(points)):
             raise DimensionMismatchError(
                 f"{len(secret)} discretizations cannot pair with "
                 f"{len(points)} candidates"
             )
         located = self.locate(points, public)
-        return self._xp.all(located == secret, axis=1)
+        return np.all(located == secret, axis=1)
 
     def _material(
         self, discretization: Union[Discretization, BatchDiscretization]
@@ -384,8 +264,8 @@ class BatchKernel(abc.ABC):
             return discretization.public, discretization.secret
         if isinstance(discretization, Discretization):
             return (
-                self._to_xp(self._public_array(discretization.public)),
-                self._to_xp(np.array([discretization.secret], dtype=np.int64)),
+                self._public_array(discretization.public),
+                np.array([discretization.secret], dtype=np.int64),
             )
         raise ParameterError(
             f"expected a Discretization or BatchDiscretization, got "
@@ -404,15 +284,9 @@ class BatchKernel(abc.ABC):
         """
         if not publics:
             raise ParameterError("publics must contain at least one tuple")
-        return self._to_xp(
-            np.concatenate(
-                [self._public_array(public) for public in publics], axis=0
-            )
+        return np.concatenate(
+            [self._public_array(public) for public in publics], axis=0
         )
-
-    def _to_xp(self, host_array: np.ndarray):
-        """Ship a host (numpy) array into the kernel's namespace."""
-        return host_array if self._xp is np else self._xp.asarray(host_array)
 
     @abc.abstractmethod
     def _public_array(self, public: Tuple) -> np.ndarray:
@@ -426,41 +300,38 @@ class CenteredBatchKernel(BatchKernel):
     N points at once.  Verification: ``⌊(x′ − d)/2r⌋ == i``.
     """
 
-    def __init__(self, scheme: DiscretizationScheme, xp=None) -> None:
-        super().__init__(scheme, xp)
+    def __init__(self, scheme: DiscretizationScheme) -> None:
+        super().__init__(scheme)
         self._r = float(scheme.r)  # type: ignore[attr-defined]
         self._two_r = float(scheme.cell_size)
 
     def enroll(self, points: PointArrayLike) -> BatchDiscretization:
         """Vectorized centered enrollment: secrets ``i``, publics ``d``."""
-        xp = self._xp
-        pts = self._points(points)
+        pts = as_point_array(points, self.dim)
         shifted = pts - self._r
-        secret = xp.floor_divide(shifted, self._two_r).astype(xp.int64)
-        public = xp.mod(shifted, self._two_r)
+        secret = np.floor_divide(shifted, self._two_r).astype(np.int64)
+        public = np.mod(shifted, self._two_r)
         return BatchDiscretization(
             scheme_name=self._scheme.name, public=public, secret=secret
         )
 
     def locate(self, points: PointArrayLike, public: np.ndarray) -> np.ndarray:
         """``⌊(x′ − d)/2r⌋`` per axis under stored offsets *public*."""
-        xp = self._xp
-        pts = self._points(points)
-        offsets = xp.asarray(public, dtype=xp.float64)
+        pts = as_point_array(points, self.dim)
+        offsets = np.asarray(public, dtype=np.float64)
         if offsets.ndim != 2 or offsets.shape[1] != self.dim:
             raise VerificationError(
                 f"centered: offsets must be (N, {self.dim}), got shape "
                 f"{offsets.shape}"
             )
-        return xp.floor_divide(pts - offsets, self._two_r).astype(xp.int64)
+        return np.floor_divide(pts - offsets, self._two_r).astype(np.int64)
 
     def acceptance_bounds(
         self, discretization: Union[Discretization, BatchDiscretization]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Half-open cubes of side 2r centered on the enrolled points."""
-        xp = self._xp
         public, secret = self._material(discretization)
-        lo = xp.asarray(public, dtype=xp.float64) + secret * self._two_r
+        lo = np.asarray(public, dtype=np.float64) + secret * self._two_r
         return lo, lo + self._two_r
 
     def _public_array(self, public: Tuple) -> np.ndarray:
@@ -480,12 +351,12 @@ class RobustBatchKernel(BatchKernel):
     drawing one uniform per point from the scheme's rng.
     """
 
-    def __init__(self, scheme: DiscretizationScheme, xp=None) -> None:
-        super().__init__(scheme, xp)
+    def __init__(self, scheme: DiscretizationScheme) -> None:
+        super().__init__(scheme)
         grids = [scheme.grid(g) for g in range(scheme.grid_count)]  # type: ignore[attr-defined]
         tables = [grid_float_table(g) for g in grids]
-        self._sizes = self._to_xp(np.stack([t[0] for t in tables]))  # (G, dim)
-        self._offsets = self._to_xp(np.stack([t[1] for t in tables]))  # (G, dim)
+        self._sizes = np.stack([t[0] for t in tables])  # (G, dim)
+        self._offsets = np.stack([t[1] for t in tables])  # (G, dim)
         self._r = float(scheme.r)  # type: ignore[attr-defined]
         # Margins of the paper's rational tolerances are >= 1/6 apart when
         # they differ at all, so an epsilon far below that (but far above
@@ -504,57 +375,54 @@ class RobustBatchKernel(BatchKernel):
         edge in each candidate grid.  A point is r-safe in grid g iff
         ``margins[n, g] >= r``.
         """
-        xp = self._xp
-        pts = self._points(points)
+        pts = as_point_array(points, self.dim)
         rel = pts[:, None, :] - self._offsets[None, :, :]
-        frac = xp.mod(rel, self._sizes[None, :, :])
-        return xp.minimum(frac, self._sizes[None, :, :] - frac).min(axis=2)
+        frac = np.mod(rel, self._sizes[None, :, :])
+        return np.minimum(frac, self._sizes[None, :, :] - frac).min(axis=2)
 
     def _choose(self, margins: np.ndarray) -> np.ndarray:
         """Apply the scheme's grid-selection policy to a margin matrix."""
         from repro.core.robust import GridSelection
 
-        xp = self._xp
         safe = margins >= self._r - self._eps
         if not bool(safe.any(axis=1).all()):
-            unsafe = int(xp.argmin(safe.any(axis=1)))
+            unsafe = int(np.argmin(safe.any(axis=1)))
             raise EnrollmentError(
                 f"robust: no r-safe grid for point row {unsafe} with "
                 f"r={self._r!r}"
             )
         selection = self._scheme.selection  # type: ignore[attr-defined]
         if selection is GridSelection.FIRST_SAFE:
-            return xp.argmax(safe, axis=1)
+            return np.argmax(safe, axis=1)
         if selection is GridSelection.RANDOM_SAFE:
             rng = self._scheme._rng  # type: ignore[attr-defined]
             counts = safe.sum(axis=1)
-            draws = xp.asarray([rng() for _ in range(len(safe))])
-            picks = xp.minimum((draws * counts).astype(xp.int64), counts - 1)
-            rank = xp.cumsum(safe, axis=1) - 1
-            return xp.argmax(safe & (rank == picks[:, None]), axis=1)
+            draws = np.asarray([rng() for _ in range(len(safe))])
+            picks = np.minimum((draws * counts).astype(np.int64), counts - 1)
+            rank = np.cumsum(safe, axis=1) - 1
+            return np.argmax(safe & (rank == picks[:, None]), axis=1)
         # MOST_CENTERED: the global max-margin grid is necessarily safe
         # (its margin >= the best safe margin >= r).  Grids within eps of
         # the max are exact-arithmetic ties; pick the lowest identifier,
         # matching the scalar tie-break.
         max_margin = margins.max(axis=1, keepdims=True)
-        return xp.argmax(margins >= max_margin - self._eps, axis=1)
+        return np.argmax(margins >= max_margin - self._eps, axis=1)
 
     def enroll(self, points: PointArrayLike) -> BatchDiscretization:
         """Pick an r-safe grid per point and discretize all points in it."""
-        xp = self._xp
-        pts = self._points(points)
+        pts = as_point_array(points, self.dim)
         chosen = self._choose(self.margins(pts))
-        secret = xp.floor_divide(
+        secret = np.floor_divide(
             pts - self._offsets[chosen], self._sizes[chosen]
-        ).astype(xp.int64)
+        ).astype(np.int64)
         return BatchDiscretization(
             scheme_name=self._scheme.name,
-            public=chosen.astype(xp.int64),
+            public=chosen.astype(np.int64),
             secret=secret,
         )
 
     def _identifiers(self, public: np.ndarray) -> np.ndarray:
-        identifiers = self._xp.asarray(public)
+        identifiers = np.asarray(public)
         if identifiers.ndim != 1:
             raise VerificationError(
                 f"robust: grid identifiers must be a 1-D array, got shape "
@@ -575,12 +443,11 @@ class RobustBatchKernel(BatchKernel):
 
     def locate(self, points: PointArrayLike, public: np.ndarray) -> np.ndarray:
         """Cell indices of *points* in their stored grids."""
-        xp = self._xp
-        pts = self._points(points)
+        pts = as_point_array(points, self.dim)
         identifiers = self._identifiers(public)
-        return xp.floor_divide(
+        return np.floor_divide(
             pts - self._offsets[identifiers], self._sizes[identifiers]
-        ).astype(xp.int64)
+        ).astype(np.int64)
 
     def acceptance_bounds(
         self, discretization: Union[Discretization, BatchDiscretization]
@@ -608,36 +475,34 @@ class RobustBatchKernel(BatchKernel):
 class StaticBatchKernel(BatchKernel):
     """Vectorized static-grid discretization (the edge-problem baseline)."""
 
-    def __init__(self, scheme: DiscretizationScheme, xp=None) -> None:
-        super().__init__(scheme, xp)
+    def __init__(self, scheme: DiscretizationScheme) -> None:
+        super().__init__(scheme)
         sizes, offsets = grid_float_table(scheme.grid)  # type: ignore[attr-defined]
-        self._cell_sizes = self._to_xp(sizes)
-        self._offsets = self._to_xp(offsets)
+        self._cell_sizes = sizes
+        self._offsets = offsets
 
     def enroll(self, points: PointArrayLike) -> BatchDiscretization:
         """Map every point to its fixed-grid cell; public stays empty."""
-        xp = self._xp
-        pts = self._points(points)
-        secret = xp.floor_divide(pts - self._offsets, self._cell_sizes).astype(
-            xp.int64
+        pts = as_point_array(points, self.dim)
+        secret = np.floor_divide(pts - self._offsets, self._cell_sizes).astype(
+            np.int64
         )
         return BatchDiscretization(
             scheme_name=self._scheme.name,
-            public=xp.empty((len(pts), 0), dtype=xp.float64),
+            public=np.empty((len(pts), 0), dtype=np.float64),
             secret=secret,
         )
 
     def locate(self, points: PointArrayLike, public: np.ndarray) -> np.ndarray:
         """Fixed-grid cell indices; *public* must be empty per row."""
-        xp = self._xp
-        shape = xp.asarray(public).shape
+        shape = np.asarray(public).shape
         if shape[-1] != 0:
             raise VerificationError(
                 f"static: expected no public material, got shape {shape}"
             )
-        pts = self._points(points)
-        return xp.floor_divide(pts - self._offsets, self._cell_sizes).astype(
-            xp.int64
+        pts = as_point_array(points, self.dim)
+        return np.floor_divide(pts - self._offsets, self._cell_sizes).astype(
+            np.int64
         )
 
     def acceptance_bounds(
@@ -656,24 +521,22 @@ class StaticBatchKernel(BatchKernel):
         return np.empty((1, 0), dtype=np.float64)
 
 
-def batch_kernel_for(scheme: DiscretizationScheme, xp=None) -> BatchKernel:
+def batch_kernel_for(scheme: DiscretizationScheme) -> BatchKernel:
     """Build the vectorized kernel matching *scheme*'s concrete type.
 
-    *xp* selects the kernel's array namespace (see
-    :func:`resolve_array_namespace`).  Prefer
-    :meth:`DiscretizationScheme.batch`, which caches kernels on the
-    scheme instance (one per namespace).
+    Prefer :meth:`DiscretizationScheme.batch`, which caches the kernel on
+    the scheme instance.
     """
     from repro.core.centered import CenteredDiscretization
     from repro.core.robust import RobustDiscretization
     from repro.core.static import StaticGridScheme
 
     if isinstance(scheme, CenteredDiscretization):
-        return CenteredBatchKernel(scheme, xp)
+        return CenteredBatchKernel(scheme)
     if isinstance(scheme, RobustDiscretization):
-        return RobustBatchKernel(scheme, xp)
+        return RobustBatchKernel(scheme)
     if isinstance(scheme, StaticGridScheme):
-        return StaticBatchKernel(scheme, xp)
+        return StaticBatchKernel(scheme)
     raise ParameterError(
         f"no batch kernel for scheme type {type(scheme).__name__}"
     )

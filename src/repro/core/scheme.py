@@ -60,7 +60,6 @@ class DiscretizationScheme(abc.ABC):
             raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
         self._dim = dim
         self._batch_kernel: "object | None" = None
-        self._batch_kernels: "dict[object, object]" = {}
 
     # -- abstract ----------------------------------------------------------
 
@@ -136,7 +135,7 @@ class DiscretizationScheme(abc.ABC):
         """Enroll several click-points (one password) at once."""
         return tuple(self.enroll(p) for p in points)
 
-    def batch(self, xp=None) -> "BatchKernel":
+    def batch(self) -> "BatchKernel":
         """The vectorized kernel mirroring this scheme instance.
 
         Lazily built on first use and cached on the instance; all batch
@@ -145,31 +144,12 @@ class DiscretizationScheme(abc.ABC):
         :func:`~repro.core.batch.acceptance_region_batch`) route through
         it.  The scalar methods remain the exact-arithmetic reference
         implementation.
-
-        *xp* injects an array namespace (a backend name or any object
-        duck-typing the NumPy API — see
-        :func:`repro.core.batch.resolve_array_namespace`); kernels are
-        cached per namespace.  The default kernel computes on NumPy
-        unless the ``REPRO_ARRAY_BACKEND`` environment variable names
-        another backend when it is first built.
         """
-        from repro.core.batch import batch_kernel_for, resolve_array_namespace
+        from repro.core.batch import batch_kernel_for
 
-        if xp is None:
-            if self._batch_kernel is None:
-                self._batch_kernel = batch_kernel_for(self)
-            return self._batch_kernel  # type: ignore[return-value]
-        namespace = resolve_array_namespace(xp)
-        if (
-            self._batch_kernel is not None
-            and self._batch_kernel.xp is namespace  # type: ignore[attr-defined]
-        ):
-            return self._batch_kernel  # type: ignore[return-value]
-        kernel = self._batch_kernels.get(namespace)
-        if kernel is None:
-            kernel = batch_kernel_for(self, namespace)
-            self._batch_kernels[namespace] = kernel
-        return kernel  # type: ignore[return-value]
+        if self._batch_kernel is None:
+            self._batch_kernel = batch_kernel_for(self)
+        return self._batch_kernel  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

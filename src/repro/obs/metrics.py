@@ -59,6 +59,7 @@ __all__ = [
     "get_registry",
     "set_registry",
     "export_snapshot",
+    "quantile",
 ]
 
 #: Default bucket upper bounds (seconds) for latency histograms — the
@@ -78,6 +79,27 @@ DEFAULT_SAMPLE_WINDOW = 8192
 
 #: Label-set type: instruments are keyed by name plus sorted label pairs.
 LabelItems = Tuple[Tuple[str, str], ...]
+
+
+def quantile(samples: Iterable[float], q: float) -> Optional[float]:
+    """The nearest-rank *q*-quantile (0..1) of *samples*, over a sorted copy.
+
+    ``None`` for an empty sample set (callers render it as ``n/a`` rather
+    than formatting a NaN); a *q* outside ``[0, 1]`` raises
+    :class:`~repro.errors.ParameterError`.  The one quantile rule of the
+    library: histogram snapshots and flood reports both use it.
+
+    >>> quantile([1.0, 2.0, 3.0, 4.0], 0.5)
+    2.0
+    >>> quantile([], 0.5) is None
+    True
+    """
+    if not 0 <= q <= 1:
+        raise ParameterError(f"q must be in [0, 1], got {q}")
+    ordered = sorted(samples)
+    if not ordered:
+        return None
+    return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
 
 
 def _labels_key(labels: Mapping[str, object]) -> LabelItems:
@@ -304,14 +326,9 @@ class Histogram:
         to the window when more than ``sample_window`` observations have
         been recorded.
         """
-        if not 0 <= q <= 1:
-            raise ParameterError(f"q must be in [0, 1], got {q}")
         with self._lock:
-            ordered = sorted(self._samples)
-        if not ordered:
-            return None
-        rank = max(math.ceil(q * len(ordered)), 1) - 1
-        return ordered[rank]
+            samples = list(self._samples)
+        return quantile(samples, q)
 
     def snapshot(self, include_samples: bool = False) -> dict:
         """JSON-safe state: count/sum/min/max, exact p50/p95/p99, buckets.
@@ -329,13 +346,8 @@ class Histogram:
             count, total = self._count, self._sum
             lo = self._min if self._count else None
             hi = self._max if self._count else None
+        # Sorting once makes the three quantile() calls linear re-sorts.
         ordered = sorted(raw)
-
-        def rank(q: float) -> Optional[float]:
-            if not ordered:
-                return None
-            return ordered[max(math.ceil(q * len(ordered)), 1) - 1]
-
         cumulative: Dict[str, int] = {}
         running = 0
         for bound, bucket_count in zip(self.buckets, counts):
@@ -347,9 +359,9 @@ class Histogram:
             "sum": total,
             "min": lo,
             "max": hi,
-            "p50": rank(0.50),
-            "p95": rank(0.95),
-            "p99": rank(0.99),
+            "p50": quantile(ordered, 0.50),
+            "p95": quantile(ordered, 0.95),
+            "p99": quantile(ordered, 0.99),
             "window": len(ordered),
             "buckets": cumulative,
         }

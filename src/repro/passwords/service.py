@@ -178,9 +178,7 @@ class VerificationService:
         self._max_batch = max_batch
         self._pending: List[Tuple[str, Sequence[Point], _AccountMaterial]] = []
         self._materials: Dict[str, _AccountMaterial] = {}
-        # Pinned to numpy: flush interleaves kernel output with per-row
-        # hashing and throttle bookkeeping on the host.
-        self._kernel = store.system.scheme.batch(xp=np)
+        self._kernel = store.system.scheme.batch()
         # Instruments are resolved once; on a disabled registry they are
         # shared no-ops and the timed branches below are skipped outright.
         registry = registry if registry is not None else get_registry()

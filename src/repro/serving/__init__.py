@@ -9,8 +9,9 @@ scalar-equivalent.
   login coroutines park on futures; a size-or-deadline trigger flushes the
   shared :class:`~repro.passwords.service.VerificationService` batch;
 * :class:`~repro.serving.server.LoginServer` — asyncio TCP server speaking
-  a JSON-lines protocol (``repro serve``), with per-connection hardening
-  (request-size limits, bounded pipelining, slow-client backpressure);
+  a JSON-lines protocol (``repro serve``) on the shared connection core
+  :class:`~repro.serving.server.JsonLinesServer` (request-size limits,
+  bounded pipelining, slow-client backpressure, one reply per frame);
 * :mod:`~repro.serving.cluster` — shard-per-process cluster: one worker
   process per shard behind a ring-routing :class:`ClusterRouter`, with
   online resharding (``repro cluster``, ``make cluster-bench``);
@@ -38,7 +39,6 @@ from repro.serving.flood import (
     flood_server,
     flood_service,
     mixed_stream,
-    percentile,
 )
 from repro.serving.server import LineReader, LoginServer, OVERSIZE, parse_points
 from repro.serving.service import AsyncVerificationService, ServiceStats
@@ -61,6 +61,5 @@ __all__ = [
     "merge_stats",
     "mixed_stream",
     "parse_points",
-    "percentile",
     "synthetic_points",
 ]

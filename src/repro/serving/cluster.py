@@ -28,11 +28,12 @@ This module turns the same pieces into a real cluster:
   every instant, so nothing is lost — asserted against a single-backend
   reference in the tests.
 
-The router inherits the server's hardening contracts (request-size limit,
-bounded pipelining, slow-client backpressure) by framing client sockets
-through the same :class:`~repro.serving.server.LineReader`.  Front doors:
-``repro cluster URI`` and ``repro flood --cluster``; the soak benchmark is
-``make cluster-bench`` (``benchmarks/test_bench_cluster.py``).
+The router is a second dispatcher on the server's connection core
+(:class:`~repro.serving.server.JsonLinesServer`), so it inherits the same
+hardening contracts (request-size limit, bounded pipelining, slow-client
+backpressure, a structured reply to every frame) and knob validation.
+Front doors: ``repro cluster URI`` and ``repro flood --cluster``; the soak
+benchmark is ``make cluster-bench`` (``benchmarks/test_bench_cluster.py``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ClusterError
-from repro.obs import MetricsRegistry
+from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.passwords.storage import (
     ConsistentHashRing,
     ShardedBackend,
@@ -59,9 +60,8 @@ from repro.serving.server import (
     DEFAULT_MAX_PIPELINE,
     DEFAULT_MAX_REQUEST_BYTES,
     DEFAULT_WRITE_HIGH_WATER,
-    LineReader,
+    JsonLinesServer,
     LoginServer,
-    OVERSIZE,
 )
 
 __all__ = [
@@ -424,7 +424,7 @@ class _Upstream:
                 pass
 
 
-class ClusterRouter:
+class ClusterRouter(JsonLinesServer):
     """Thin asyncio front door that routes JSONL frames by the shard ring.
 
     Clients speak the exact :class:`~repro.serving.server.LoginServer`
@@ -432,11 +432,12 @@ class ClusterRouter:
     :class:`~repro.passwords.storage.ConsistentHashRing` and forward to
     that shard's worker; ``stats``/``metrics``/``trace`` fan out to every
     worker and reply merged; ``ping`` answers locally (with a ``workers``
-    count).  Client connections get the same hardening as the server:
-    size-limited framing through :class:`~repro.serving.server.LineReader`
+    count).  Client connections run on the server's connection core
+    (:class:`~repro.serving.server.JsonLinesServer`): size-limited framing
     (oversize → structured ``request_too_large``), an in-flight cap per
     connection, and write-buffer backpressure for slow readers — pauses
-    are counted in :attr:`backpressure`.
+    are counted in :attr:`backpressure`.  The router publishes no metrics
+    of its own; ``metrics`` merges the workers' registries.
 
     During a reshard (driven by :class:`ServingCluster`) the router holds
     two rings: accounts on already-migrated old shards route through the
@@ -454,13 +455,15 @@ class ClusterRouter:
         max_pipeline: int = DEFAULT_MAX_PIPELINE,
         write_high_water: int = DEFAULT_WRITE_HIGH_WATER,
     ) -> None:
-        self._host = host
-        self._port = port
+        super().__init__(
+            host,
+            port,
+            max_request_bytes,
+            max_pipeline,
+            write_high_water,
+            NULL_REGISTRY,
+        )
         self._replicas = replicas
-        self._max_request_bytes = max_request_bytes
-        self._max_pipeline = max_pipeline
-        self._write_high_water = write_high_water
-        self._server: Optional[asyncio.base_events.Server] = None
         self._upstreams: List[_Upstream] = []
         self._ring: Optional[ConsistentHashRing] = None
         # resharding state (None/empty outside a drill):
@@ -468,17 +471,6 @@ class ClusterRouter:
         self._next_ring: Optional[ConsistentHashRing] = None
         self._migrated: Set[int] = set()
         self._gates: Dict[int, asyncio.Event] = {}
-        self.connections_served = 0
-        #: Reader pauses by reason, mirroring ``LoginServer.backpressure``.
-        self.backpressure = {"pipeline": 0, "write_buffer": 0}
-        self.oversize_rejected = 0
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._server is None:
-            raise ClusterError("router not started")
-        return self._server.sockets[0].getsockname()[:2]
 
     @property
     def worker_count(self) -> int:
@@ -495,16 +487,12 @@ class ClusterRouter:
         for upstream in self._upstreams:
             await upstream.connect()
         self._ring = ConsistentHashRing(len(self._upstreams), self._replicas)
-        self._server = await asyncio.start_server(
-            self._handle_client, self._host, self._port
-        )
+        await self._listen()
         return self
 
     async def aclose(self) -> None:
         """Stop accepting clients and close every upstream connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().aclose()
         for upstream in list(self._upstreams) + list(self._next_upstreams or ()):
             await upstream.aclose()
 
@@ -576,16 +564,7 @@ class ClusterRouter:
 
     # -- client handling -----------------------------------------------------
 
-    async def _respond(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
-        try:
-            await writer.drain()
-        except ConnectionError:  # client went away mid-response
-            pass
-
-    async def _serve_request(
-        self, writer: asyncio.StreamWriter, request: dict
-    ) -> None:
+    async def _dispatch(self, request: dict) -> dict:
         request_id = request.get("id")
         op = request.get("op")
         try:
@@ -593,32 +572,21 @@ class ClusterRouter:
                 upstream = await self._route(str(request.get("user")))
                 response = dict(await upstream.request(request))
                 response["id"] = request_id
-            elif op == "stats":
+                return response
+            if op == "stats":
                 replies = await self._fan_out({"op": "stats"})
                 response = merge_stats(replies)
                 response["id"] = request_id
                 response["ok"] = True
                 response["workers"] = len(replies)
-            elif op == "metrics":
+                return response
+            if op == "metrics":
                 replies = await self._fan_out({"op": "metrics", "samples": True})
                 registry = MetricsRegistry()
                 for reply in replies:
                     registry.merge(reply.get("metrics") or {})
-                if request.get("format") == "prom":
-                    response = {
-                        "id": request_id,
-                        "ok": True,
-                        "prom": registry.render_prometheus(),
-                    }
-                else:
-                    response = {
-                        "id": request_id,
-                        "ok": True,
-                        "metrics": registry.snapshot(
-                            include_samples=bool(request.get("samples"))
-                        ),
-                    }
-            elif op == "trace":
+                return self._metrics_reply(request, registry)
+            if op == "trace":
                 limit = request.get("limit")
                 frame: dict = {"op": "trace"}
                 if isinstance(limit, int):
@@ -628,29 +596,17 @@ class ClusterRouter:
                 spans.sort(key=lambda span: span.get("start") or 0.0)
                 if isinstance(limit, int):
                     spans = spans[-limit:]
-                response = {"id": request_id, "ok": True, "spans": spans}
-            elif op == "ping":
-                response = {
+                return {"id": request_id, "ok": True, "spans": spans}
+            if op == "ping":
+                return {
                     "id": request_id,
                     "ok": True,
                     "status": "pong",
                     "workers": self.worker_count,
                 }
-            else:
-                response = {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "protocol",
-                    "message": f"unknown op {op!r}",
-                }
+            return self._error_reply(request_id, "protocol", f"unknown op {op!r}")
         except ClusterError as exc:
-            response = {
-                "id": request_id,
-                "ok": False,
-                "error": "upstream",
-                "message": str(exc),
-            }
-        await self._respond(writer, response)
+            return self._error_reply(request_id, "upstream", str(exc))
 
     async def _fan_out(self, payload: dict) -> List[dict]:
         """One request per live upstream; drops non-ok replies."""
@@ -659,88 +615,6 @@ class ClusterRouter:
             *(upstream.request(dict(payload)) for upstream in targets)
         )
         return [reply for reply in replies if reply.get("ok")]
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.connections_served += 1
-        transport = writer.transport
-        if transport is not None:
-            try:
-                transport.set_write_buffer_limits(high=self._write_high_water)
-            except (AttributeError, ValueError, RuntimeError):
-                pass
-        lines = LineReader(reader, self._max_request_bytes)
-        inflight = asyncio.Semaphore(self._max_pipeline)
-        tasks: set = set()
-
-        def _settle(task: asyncio.Task) -> None:
-            tasks.discard(task)
-            inflight.release()
-
-        try:
-            while True:
-                if (
-                    transport is not None
-                    and not writer.is_closing()
-                    and transport.get_write_buffer_size() > self._write_high_water
-                ):
-                    self.backpressure["write_buffer"] += 1
-                    try:
-                        await writer.drain()
-                    except (asyncio.CancelledError, ConnectionError):
-                        break
-                try:
-                    line = await lines.readline()
-                except (asyncio.CancelledError, ConnectionError):
-                    break
-                if line is None:
-                    break
-                if line is OVERSIZE:
-                    self.oversize_rejected += 1
-                    await self._respond(
-                        writer,
-                        {
-                            "id": None,
-                            "ok": False,
-                            "error": "request_too_large",
-                            "message": (
-                                "request line exceeded "
-                                f"{self._max_request_bytes} bytes"
-                            ),
-                        },
-                    )
-                    continue
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    await self._respond(
-                        writer,
-                        {
-                            "id": None,
-                            "ok": False,
-                            "error": "protocol",
-                            "message": f"malformed JSON line: {exc}",
-                        },
-                    )
-                    continue
-                if inflight.locked():
-                    self.backpressure["pipeline"] += 1
-                await inflight.acquire()
-                task = asyncio.ensure_future(self._serve_request(writer, request))
-                tasks.add(task)
-                task.add_done_callback(_settle)
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionError):
-                pass
 
 
 @dataclass
@@ -905,8 +779,7 @@ class ServingCluster:
 
     async def start(self) -> "ServingCluster":
         """Spawn the workers (in parallel), then start the router."""
-        loop = asyncio.get_event_loop()
-        self._handles = await loop.run_in_executor(None, _spawn_workers, self._specs)
+        # Built first: a bad knob raises before any worker is spawned.
         router = ClusterRouter(
             host=self._host,
             port=self._port,
@@ -915,6 +788,8 @@ class ServingCluster:
             max_pipeline=self._specs[0].max_pipeline,
             write_high_water=self._write_high_water,
         )
+        loop = asyncio.get_event_loop()
+        self._handles = await loop.run_in_executor(None, _spawn_workers, self._specs)
         try:
             await router.start([handle.address for handle in self._handles])
         except Exception:

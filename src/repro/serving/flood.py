@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,33 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.point import Point
+from repro.obs.metrics import quantile
 from repro.serving.service import AsyncVerificationService
 
-__all__ = ["FloodReport", "percentile", "mixed_stream", "flood_service", "flood_server"]
+__all__ = ["FloodReport", "mixed_stream", "flood_service", "flood_server"]
 
 #: One attempt: ``(username, click_points)``.
 Attempt = Tuple[str, Sequence[Point]]
-
-
-def percentile(samples: Sequence[float], q: float) -> Optional[float]:
-    """The *q*-quantile (0..1) of *samples* by nearest-rank on a sorted copy.
-
-    Returns ``None`` for an empty sample set (e.g. a flood where every
-    attempt was dropped) — callers render it as ``n/a`` rather than
-    formatting a NaN.
-
-    >>> percentile([1.0, 2.0, 3.0, 4.0], 0.5)
-    2.0
-    >>> percentile([], 0.5) is None
-    True
-    """
-    if not 0 <= q <= 1:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    rank = max(math.ceil(q * len(ordered)), 1) - 1
-    return ordered[rank]
 
 
 @dataclass
@@ -97,17 +76,17 @@ class FloodReport:
     @property
     def p50_ms(self) -> Optional[float]:
         """Median per-attempt latency in ms (``None`` without samples)."""
-        return percentile(self.latencies_ms, 0.50)
+        return quantile(self.latencies_ms, 0.50)
 
     @property
     def p95_ms(self) -> Optional[float]:
         """95th-percentile latency in ms (``None`` without samples)."""
-        return percentile(self.latencies_ms, 0.95)
+        return quantile(self.latencies_ms, 0.95)
 
     @property
     def p99_ms(self) -> Optional[float]:
         """99th-percentile latency in ms (``None`` without samples)."""
-        return percentile(self.latencies_ms, 0.99)
+        return quantile(self.latencies_ms, 0.99)
 
     @staticmethod
     def _fmt_ms(value: Optional[float]) -> str:
@@ -160,9 +139,9 @@ class FloodReport:
             + (f" ({trigger_line})" if trigger_line else ""),
             (
                 "  queue-wait p50 "
-                f"{self._fmt_ms(percentile(waits, 0.50))} p95 "
-                f"{self._fmt_ms(percentile(waits, 0.95))} p99 "
-                f"{self._fmt_ms(percentile(waits, 0.99))} "
+                f"{self._fmt_ms(quantile(waits, 0.50))} p95 "
+                f"{self._fmt_ms(quantile(waits, 0.95))} p99 "
+                f"{self._fmt_ms(quantile(waits, 0.99))} "
                 f"over {len(waits)} logins"
             ),
             (

@@ -34,13 +34,18 @@ batch).  Operations:
 
 Failures come back as ``{"id": ..., "ok": false, "error": "<ErrorClass>",
 "message": "..."}`` — library errors (unknown account, wrong click count,
-out-of-image point) fail only their own request; malformed JSON fails the
-line it arrived on.  The CLI front door is ``repro serve URI``; the
-matching load generator is :mod:`repro.serving.flood` / ``repro flood``.
+out-of-image point) fail only their own request; malformed JSON, or a
+line that is not a JSON object, fails the line it arrived on
+(``"error": "protocol"``, ``"id": null``); any other failure is
+``"error": "internal"``.  Every accepted frame gets exactly one reply.
+The CLI front door is ``repro serve URI``; the matching load generator
+is :mod:`repro.serving.flood` / ``repro flood``.
 
-Since frames now also cross process boundaries (the shard-per-process
-cluster in :mod:`repro.serving.cluster` speaks this protocol upstream),
-the server enforces three hardening contracts per connection:
+The connection handling lives in :class:`JsonLinesServer`, which this
+module's :class:`LoginServer` and the cluster's
+:class:`~repro.serving.cluster.ClusterRouter` both extend with only a
+request dispatcher.  It enforces three hardening contracts per
+connection:
 
 * **request-size limit** — a line longer than ``max_request_bytes`` gets
   a structured ``{"error": "request_too_large"}`` reply and the
@@ -59,6 +64,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.errors import ParameterError, ReproError
@@ -67,7 +73,13 @@ from repro.obs import MetricsRegistry, SpanTracer, get_registry
 from repro.passwords.store import PasswordStore
 from repro.serving.service import AsyncVerificationService
 
-__all__ = ["LineReader", "LoginServer", "OVERSIZE", "parse_points"]
+__all__ = [
+    "JsonLinesServer",
+    "LineReader",
+    "LoginServer",
+    "OVERSIZE",
+    "parse_points",
+]
 
 #: Default per-request size limit (bytes), matching asyncio's historical
 #: 64 KiB stream limit that oversize lines used to trip over.
@@ -176,6 +188,8 @@ def parse_points(payload: object) -> Sequence[Point]:
     Raises :class:`ValueError` on anything that is not a list of 2-number
     pairs — protocol-level garbage, reported to the client as an
     ``error: "protocol"`` response rather than a library exception.
+    Booleans are not numbers here, and ``Infinity``, ``NaN`` or ``1e400``
+    is not a coordinate.
     """
     if not isinstance(payload, list) or not payload:
         raise ValueError(f"points must be a non-empty list, got {payload!r}")
@@ -184,79 +198,68 @@ def parse_points(payload: object) -> Sequence[Point]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"each point must be an [x, y] pair, got {pair!r}")
         x, y = pair
-        if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
+        if (
+            not isinstance(x, (int, float))
+            or not isinstance(y, (int, float))
+            or isinstance(x, bool)
+            or isinstance(y, bool)
+        ):
             raise ValueError(f"coordinates must be numbers, got {pair!r}")
-        points.append(Point.xy(int(x), int(y)))
+        try:
+            column, row = int(x), int(y)
+        except (OverflowError, ValueError):  # int() of an infinity or NaN
+            raise ValueError(f"coordinates must be finite, got {pair!r}") from None
+        points.append(Point.xy(column, row))
     return points
 
 
-class LoginServer:
-    """A TCP front door over one store's async verification service.
+class JsonLinesServer:
+    """The connection core both front doors share.
+
+    Owns everything between the socket and a request dict: size-limited
+    framing through :class:`LineReader`, JSON parsing, the per-connection
+    in-flight cap, slow-client backpressure, the counters for all three,
+    and one response line per accepted frame.  A subclass supplies only
+    :meth:`_dispatch`, which turns one request object into one response
+    object.  A frame that is not a JSON object gets a ``protocol`` error,
+    and an exception that :meth:`_dispatch` does not map itself gets an
+    ``internal`` error, so no accepted frame goes unanswered.
+    :class:`LoginServer` and :class:`~repro.serving.cluster.ClusterRouter`
+    are the two subclasses.
 
     Parameters
     ----------
-    store:
-        The store to serve; a fresh
-        :class:`~repro.serving.service.AsyncVerificationService` is built
-        over it with the given batching knobs.
     host / port:
-        Bind address.  ``port=0`` picks an ephemeral port — read
-        :attr:`address` after :meth:`start` (how the tests and the
-        self-hosted ``repro flood`` run).
-    max_batch / flush_interval:
-        Forwarded to the async service (size / deadline flush triggers).
-    max_request_bytes:
-        Per-request size limit; a longer line is answered with a
-        structured ``{"error": "request_too_large"}`` reply and the
-        connection survives.
-    max_pipeline:
-        Cap on in-flight pipelined requests per connection — the reader
-        parks until the count drains, bounding per-connection memory.
-    write_high_water:
-        Write-buffer size (bytes) above which the server stops reading
-        further requests from a slow client until its responses drain.
-        Backpressure pauses are counted per reason in
-        :attr:`backpressure` and in
-        ``server_backpressure_total{reason=...}``.
-    registry / tracer:
-        Telemetry sinks, forwarded to the async service.  ``registry``
-        defaults to the process registry (:func:`repro.obs.get_registry`);
-        it backs the ``metrics`` op and the per-op request counters.
-        ``tracer`` is off by default — pass a
-        :class:`~repro.obs.SpanTracer` to record per-flush span trees
-        served by the ``trace`` op (``repro flood --trace`` does this).
+        Bind address (``port=0`` picks an ephemeral port; read
+        :attr:`address` once listening).
+    max_request_bytes / max_pipeline / write_high_water:
+        The hardening knobs (see the module docstring); each must be
+        ``>= 1`` or :class:`~repro.errors.ParameterError` is raised.
+    registry:
+        Sink for ``server_connections_total``,
+        ``server_backpressure_total{reason=...}`` and
+        ``server_oversize_total``.  The plain attributes
+        :attr:`connections_served`, :attr:`backpressure` and
+        :attr:`oversize_rejected` count the same events regardless.
     """
 
     def __init__(
         self,
-        store: PasswordStore,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_batch: int = 256,
-        flush_interval: float = 0.0,
-        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
-        max_pipeline: int = DEFAULT_MAX_PIPELINE,
-        write_high_water: int = DEFAULT_WRITE_HIGH_WATER,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
+        host: str,
+        port: int,
+        max_request_bytes: int,
+        max_pipeline: int,
+        write_high_water: int,
+        registry: MetricsRegistry,
     ) -> None:
-        if max_request_bytes < 1:
-            raise ParameterError(
-                f"max_request_bytes must be >= 1, got {max_request_bytes}"
-            )
-        if max_pipeline < 1:
-            raise ParameterError(f"max_pipeline must be >= 1, got {max_pipeline}")
-        if write_high_water < 1:
-            raise ParameterError(f"write_high_water must be >= 1, got {write_high_water}")
-        self.registry = registry if registry is not None else get_registry()
-        self.tracer = tracer
-        self.service = AsyncVerificationService(
-            store,
-            max_batch=max_batch,
-            flush_interval=flush_interval,
-            registry=self.registry,
-            tracer=tracer,
-        )
+        for name, value in (
+            ("max_request_bytes", max_request_bytes),
+            ("max_pipeline", max_pipeline),
+            ("write_high_water", write_high_water),
+        ):
+            if value < 1:
+                raise ParameterError(f"{name} must be >= 1, got {value}")
+        self.registry = registry
         self._host = host
         self._port = port
         self._max_request_bytes = max_request_bytes
@@ -268,59 +271,66 @@ class LoginServer:
         #: reached) and ``"write_buffer"`` (slow client above high-water).
         self.backpressure = {"pipeline": 0, "write_buffer": 0}
         self.oversize_rejected = 0
-        if self.registry.enabled:
-            self._obs_connections = self.registry.counter(
+        if registry.enabled:
+            self._obs_connections = registry.counter(
                 "server_connections_total",
                 help="TCP connections accepted by the login server",
             )
-            self._obs_requests: dict = {}
             self._obs_backpressure = {
-                reason: self.registry.counter(
+                reason: registry.counter(
                     "server_backpressure_total",
                     help="reader pauses from per-connection flow control",
                     reason=reason,
                 )
                 for reason in ("pipeline", "write_buffer")
             }
-            self._obs_oversize = self.registry.counter(
+            self._obs_oversize = registry.counter(
                 "server_oversize_total",
                 help="requests rejected for exceeding max_request_bytes",
             )
         else:
             self._obs_connections = None
-            self._obs_requests = None
             self._obs_backpressure = None
             self._obs_oversize = None
 
     @property
     def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
+        """The bound ``(host, port)`` (valid once listening)."""
         if self._server is None:
-            raise RuntimeError("server not started")
+            raise RuntimeError(f"{type(self).__name__} not started")
         return self._server.sockets[0].getsockname()[:2]
 
-    async def start(self) -> "LoginServer":
-        """Bind and start accepting connections (returns self)."""
+    async def _listen(self) -> None:
+        """Bind the door and start accepting connections."""
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
-        return self
-
-    async def serve_forever(self) -> None:
-        """Block serving connections until cancelled."""
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting connections and decide any parked attempts."""
+        """Stop accepting connections."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        await self.service.drain()
 
-    # -- request handling ----------------------------------------------------
+    async def _dispatch(self, request: dict) -> dict:
+        """Answer one request object (the subclass's whole job)."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _error_reply(request_id: object, error: str, message: str) -> dict:
+        """A failure reply: ``error`` names the kind, ``message`` the detail."""
+        return {"id": request_id, "ok": False, "error": error, "message": message}
+
+    @staticmethod
+    def _metrics_reply(request: dict, registry: MetricsRegistry) -> dict:
+        """The ``metrics`` op's reply over *registry* (JSON or Prometheus)."""
+        request_id = request.get("id")
+        if request.get("format") == "prom":
+            return {"id": request_id, "ok": True, "prom": registry.render_prometheus()}
+        snapshot = registry.snapshot(include_samples=bool(request.get("samples")))
+        return {"id": request_id, "ok": True, "metrics": snapshot}
+
+    # -- connection handling ---------------------------------------------------
 
     async def _respond(self, writer: asyncio.StreamWriter, payload: dict) -> None:
         # One write() per complete line keeps concurrent responses whole.
@@ -330,95 +340,23 @@ class LoginServer:
         except ConnectionError:  # client went away mid-response
             pass
 
-    def _count_request(self, op: object) -> None:
-        """Bump ``server_requests_total{op=...}`` (cached per op name)."""
-        if self._obs_requests is None:
-            return
-        key = op if isinstance(op, str) else "invalid"
-        counter = self._obs_requests.get(key)
-        if counter is None:
-            counter = self._obs_requests[key] = self.registry.counter(
-                "server_requests_total",
-                help="protocol requests handled, by op",
-                op=key,
+    async def _handle_request(
+        self, writer: asyncio.StreamWriter, request: dict
+    ) -> None:
+        try:
+            response = await self._dispatch(request)
+        except Exception as exc:  # anything _dispatch did not map itself
+            logging.getLogger(__name__).exception("request dispatch failed")
+            response = self._error_reply(
+                request.get("id"), "internal", f"{type(exc).__name__}: {exc}"
             )
-        counter.inc()
+        await self._respond(writer, response)
 
     def _count_backpressure(self, reason: str) -> None:
         """Record one reader pause (plain dict + registry counter)."""
         self.backpressure[reason] += 1
         if self._obs_backpressure is not None:
             self._obs_backpressure[reason].inc()
-
-    async def _handle_request(
-        self, writer: asyncio.StreamWriter, request: dict
-    ) -> None:
-        request_id = request.get("id")
-        op = request.get("op")
-        self._count_request(op)
-        try:
-            if op == "login":
-                points = parse_points(request.get("points"))
-                outcome = await self.service.login(str(request.get("user")), points)
-                response = {"id": request_id, "ok": True, "status": outcome.status}
-                if outcome.captcha:
-                    response["captcha"] = True
-            elif op == "enroll":
-                points = parse_points(request.get("points"))
-                self.service.service.enroll(str(request.get("user")), points)
-                response = {"id": request_id, "ok": True, "status": "enrolled"}
-            elif op == "stats":
-                response = {"id": request_id, "ok": True}
-                response.update(self.service.stats_view())
-                response["accounts"] = len(self.service.store.usernames)
-                response["defense"] = self.service.store.defense.describe()
-            elif op == "metrics":
-                if request.get("format") == "prom":
-                    response = {
-                        "id": request_id,
-                        "ok": True,
-                        "prom": self.registry.render_prometheus(),
-                    }
-                else:
-                    response = {
-                        "id": request_id,
-                        "ok": True,
-                        "metrics": self.registry.snapshot(
-                            include_samples=bool(request.get("samples"))
-                        ),
-                    }
-            elif op == "trace":
-                limit = request.get("limit")
-                spans = (
-                    self.tracer.recent(limit if isinstance(limit, int) else None)
-                    if self.tracer is not None
-                    else []
-                )
-                response = {"id": request_id, "ok": True, "spans": spans}
-            elif op == "ping":
-                response = {"id": request_id, "ok": True, "status": "pong"}
-            else:
-                response = {
-                    "id": request_id,
-                    "ok": False,
-                    "error": "protocol",
-                    "message": f"unknown op {op!r}",
-                }
-        except ReproError as exc:
-            response = {
-                "id": request_id,
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        except ValueError as exc:
-            response = {
-                "id": request_id,
-                "ok": False,
-                "error": "protocol",
-                "message": str(exc),
-            }
-        await self._respond(writer, response)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -442,6 +380,10 @@ class LoginServer:
         def _settle(task: asyncio.Task) -> None:
             tasks.discard(task)
             inflight.release()
+
+        async def reject(error: str, message: str) -> None:
+            # A frame that never reaches _dispatch: no request id to echo.
+            await self._respond(writer, self._error_reply(None, error, message))
 
         try:
             while True:
@@ -470,17 +412,9 @@ class LoginServer:
                     self.oversize_rejected += 1
                     if self._obs_oversize is not None:
                         self._obs_oversize.inc()
-                    await self._respond(
-                        writer,
-                        {
-                            "id": None,
-                            "ok": False,
-                            "error": "request_too_large",
-                            "message": (
-                                "request line exceeded "
-                                f"{self._max_request_bytes} bytes"
-                            ),
-                        },
+                    await reject(
+                        "request_too_large",
+                        f"request line exceeded {self._max_request_bytes} bytes",
                     )
                     continue
                 line = line.strip()
@@ -489,14 +423,12 @@ class LoginServer:
                 try:
                     request = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    await self._respond(
-                        writer,
-                        {
-                            "id": None,
-                            "ok": False,
-                            "error": "protocol",
-                            "message": f"malformed JSON line: {exc}",
-                        },
+                    await reject("protocol", f"malformed JSON line: {exc}")
+                    continue
+                if not isinstance(request, dict):
+                    kind = type(request).__name__
+                    await reject(
+                        "protocol", f"request must be a JSON object, got {kind}"
                     )
                     continue
                 # Bounded pipelining: cap in-flight requests on this
@@ -517,3 +449,135 @@ class LoginServer:
                 await writer.wait_closed()
             except (asyncio.CancelledError, ConnectionError):
                 pass  # loop teardown or client already gone
+
+
+class LoginServer(JsonLinesServer):
+    """A TCP front door over one store's async verification service.
+
+    Parameters
+    ----------
+    store:
+        The store to serve; a fresh
+        :class:`~repro.serving.service.AsyncVerificationService` is built
+        over it with the given batching knobs.
+    host / port:
+        Bind address.  ``port=0`` picks an ephemeral port — read
+        :attr:`address` after :meth:`start` (how the tests and the
+        self-hosted ``repro flood`` run).
+    max_batch / flush_interval:
+        Forwarded to the async service (size / deadline flush triggers).
+    max_request_bytes / max_pipeline / write_high_water:
+        The connection core's hardening knobs (see
+        :class:`JsonLinesServer` and the module docstring).
+    registry / tracer:
+        Telemetry sinks, forwarded to the async service.  ``registry``
+        defaults to the process registry (:func:`repro.obs.get_registry`);
+        it backs the ``metrics`` op and the per-op request counters.
+        ``tracer`` is off by default — pass a
+        :class:`~repro.obs.SpanTracer` to record per-flush span trees
+        served by the ``trace`` op (``repro flood --trace`` does this).
+    """
+
+    def __init__(
+        self,
+        store: PasswordStore,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_batch: int = 256,
+        flush_interval: float = 0.0,
+        max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
+        max_pipeline: int = DEFAULT_MAX_PIPELINE,
+        write_high_water: int = DEFAULT_WRITE_HIGH_WATER,
+        registry: Optional[MetricsRegistry] = None,
+        tracer: Optional[SpanTracer] = None,
+    ) -> None:
+        super().__init__(
+            host,
+            port,
+            max_request_bytes,
+            max_pipeline,
+            write_high_water,
+            registry if registry is not None else get_registry(),
+        )
+        self.tracer = tracer
+        self.service = AsyncVerificationService(
+            store,
+            max_batch=max_batch,
+            flush_interval=flush_interval,
+            registry=self.registry,
+            tracer=tracer,
+        )
+        self._obs_requests: Optional[dict] = {} if self.registry.enabled else None
+
+    async def start(self) -> "LoginServer":
+        """Bind and start accepting connections (returns self)."""
+        await self._listen()
+        return self
+
+    async def serve_forever(self) -> None:
+        """Block serving connections until cancelled."""
+        if self._server is None:
+            await self.start()
+        async with self._server:
+            await self._server.serve_forever()
+
+    async def aclose(self) -> None:
+        """Stop accepting connections and decide any parked attempts."""
+        await super().aclose()
+        await self.service.drain()
+
+    # -- request handling ----------------------------------------------------
+
+    def _count_request(self, op: object) -> None:
+        """Bump ``server_requests_total{op=...}`` (cached per op name)."""
+        if self._obs_requests is None:
+            return
+        key = op if isinstance(op, str) else "invalid"
+        counter = self._obs_requests.get(key)
+        if counter is None:
+            counter = self._obs_requests[key] = self.registry.counter(
+                "server_requests_total",
+                help="protocol requests handled, by op",
+                op=key,
+            )
+        counter.inc()
+
+    async def _dispatch(self, request: dict) -> dict:
+        request_id = request.get("id")
+        op = request.get("op")
+        self._count_request(op)
+        try:
+            if op == "login":
+                points = parse_points(request.get("points"))
+                outcome = await self.service.login(str(request.get("user")), points)
+                response = {"id": request_id, "ok": True, "status": outcome.status}
+                if outcome.captcha:
+                    response["captcha"] = True
+                return response
+            if op == "enroll":
+                points = parse_points(request.get("points"))
+                self.service.service.enroll(str(request.get("user")), points)
+                return {"id": request_id, "ok": True, "status": "enrolled"}
+            if op == "stats":
+                response = {"id": request_id, "ok": True}
+                response.update(self.service.stats_view())
+                response["accounts"] = len(self.service.store.usernames)
+                response["defense"] = self.service.store.defense.describe()
+                return response
+            if op == "metrics":
+                return self._metrics_reply(request, self.registry)
+            if op == "trace":
+                limit = request.get("limit")
+                spans = (
+                    self.tracer.recent(limit if isinstance(limit, int) else None)
+                    if self.tracer is not None
+                    else []
+                )
+                return {"id": request_id, "ok": True, "spans": spans}
+            if op == "ping":
+                return {"id": request_id, "ok": True, "status": "pong"}
+            return self._error_reply(request_id, "protocol", f"unknown op {op!r}")
+        except ReproError as exc:
+            return self._error_reply(request_id, type(exc).__name__, str(exc))
+        except ValueError as exc:
+            return self._error_reply(request_id, "protocol", str(exc))

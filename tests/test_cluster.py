@@ -43,6 +43,7 @@ from repro.passwords.storage import (
 )
 from repro.passwords.store import PasswordStore, deployed_store
 from repro.serving import (
+    ClusterRouter,
     LineReader,
     LoginServer,
     OVERSIZE,
@@ -155,11 +156,37 @@ def _server_store():
     return store, points
 
 
-async def test_server_oversize_gets_structured_error():
+#: The two front doors share one connection core; every hardening test
+#: runs against both.  ``router`` is a ClusterRouter in front of an
+#: in-process LoginServer, so it needs no spawned workers.
+DOORS = ("server", "router")
+
+
+async def _start_door(kind, store, knobs=None, batching=None):
+    """Start door *kind* over *store*: ``(door, backing server, close)``.
+
+    *knobs* go to the door under test, *batching* to the LoginServer.
+    """
+    knobs, batching = knobs or {}, batching or {}
+    if kind == "server":
+        server = await LoginServer(store, **knobs, **batching).start()
+        return server, server, server.aclose
+    server = await LoginServer(store, **batching).start()
+    router = await ClusterRouter(**knobs).start([server.address])
+
+    async def close():
+        await router.aclose()
+        await server.aclose()
+
+    return router, server, close
+
+
+@pytest.mark.parametrize("door", DOORS)
+async def test_server_oversize_gets_structured_error(door):
     """Oversize input is a per-request failure, not a dead connection."""
     store, points = _server_store()
-    server = await LoginServer(store, max_request_bytes=256).start()
-    reader, writer = await asyncio.open_connection(*server.address)
+    front, _, close = await _start_door(door, store, {"max_request_bytes": 256})
+    reader, writer = await asyncio.open_connection(*front.address)
 
     writer.write(b"A" * 1000 + b"\n")
     await writer.drain()
@@ -174,27 +201,32 @@ async def test_server_oversize_gets_structured_error():
         {"op": "login", "id": 2, "user": "alice", "points": _wire(points)},
     )
     assert response == {"id": 2, "ok": True, "status": "accept"}
-    assert server.oversize_rejected == 1
+    assert front.oversize_rejected == 1
     writer.close()
-    await server.aclose()
+    await close()
 
 
 async def test_server_rejects_bad_hardening_knobs():
     store, _ = _server_store()
+    for knob in ("max_request_bytes", "max_pipeline", "write_high_water"):
+        with pytest.raises(ParameterError):
+            LoginServer(store, **{knob: 0})
+        with pytest.raises(ParameterError):
+            ClusterRouter(**{knob: 0})
+    # The cluster builds its router before spawning: nothing is left running.
     with pytest.raises(ParameterError):
-        LoginServer(store, max_request_bytes=0)
-    with pytest.raises(ParameterError):
-        LoginServer(store, max_pipeline=0)
+        await ServingCluster(workers=1, write_high_water=0).start()
 
 
-async def test_server_pipeline_cap_applies_backpressure():
+@pytest.mark.parametrize("door", DOORS)
+async def test_server_pipeline_cap_applies_backpressure(door):
     """A deep pipelined burst crosses the in-flight cap: the reader
     pauses (counted) but every request is still answered."""
     store, points = _server_store()
-    server = await LoginServer(
-        store, max_pipeline=2, max_batch=4, flush_interval=0.005
-    ).start()
-    reader, writer = await asyncio.open_connection(*server.address)
+    front, _, close = await _start_door(
+        door, store, {"max_pipeline": 2}, {"max_batch": 4, "flush_interval": 0.005}
+    )
+    reader, writer = await asyncio.open_connection(*front.address)
 
     burst = b"".join(
         json.dumps(
@@ -207,9 +239,57 @@ async def test_server_pipeline_cap_applies_backpressure():
     responses = [json.loads(await reader.readline()) for _ in range(20)]
     assert sorted(r["id"] for r in responses) == list(range(20))
     assert all(r["status"] == "accept" for r in responses)
-    assert server.backpressure["pipeline"] > 0
+    assert front.backpressure["pipeline"] > 0
     writer.close()
-    await server.aclose()
+    await close()
+
+
+@pytest.mark.parametrize("door", DOORS)
+async def test_server_answers_every_hostile_frame(door):
+    """Non-object frames, out-of-range coordinates and unmapped failures
+    each get a structured reply on a surviving connection; through the
+    router, no forwarded frame is left waiting upstream."""
+    store, points = _server_store()
+    front, server, close = await _start_door(door, store)
+    reader, writer = await asyncio.open_connection(*front.address)
+
+    async def send(frame: bytes) -> dict:
+        writer.write(frame + b"\n")
+        await writer.drain()
+        return json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
+
+    for frame in (b"[1,2]", b'"x"', b"3", b"null"):
+        response = await send(frame)
+        assert response["id"] is None and response["ok"] is False
+        assert response["error"] == "protocol"
+        assert "JSON object" in response["message"]
+
+    good = _wire(points)
+    hostile = ("Infinity", "-Infinity", "1e400", "NaN", "true")
+    for index, bad in enumerate(hostile):
+        wire = json.dumps(
+            {"op": "login", "id": index, "user": "alice",
+             "points": [["BAD", good[0][1]]] + good[1:]}
+        )
+        response = await send(wire.replace('"BAD"', bad).encode())
+        assert response["id"] == index and response["error"] == "protocol", bad
+
+    async def boom(username, points):
+        raise RuntimeError("boom")
+
+    server.service.login = boom
+    response = await send(
+        json.dumps({"op": "login", "id": 9, "user": "alice", "points": good}).encode()
+    )
+    assert response == {
+        "id": 9, "ok": False, "error": "internal", "message": "RuntimeError: boom"
+    }
+
+    assert (await send(b'{"op":"ping","id":10}'))["status"] == "pong"
+    if door == "router":
+        assert all(upstream.inflight == 0 for upstream in front._upstreams)
+    writer.close()
+    await close()
 
 
 async def test_server_write_buffer_backpressure_scoped_to_slow_client():

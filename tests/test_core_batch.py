@@ -308,102 +308,3 @@ class TestBatchApiContracts:
         assert len(batch) == batch.count == 4
         assert batch.dim == 2
 
-
-class _NamespaceProxy:
-    """Duck-typed array namespace: delegates to numpy, records attribute use.
-
-    Proves the kernels run unmodified under an *injected* namespace — the
-    cupy/jax contract — without needing an accelerator installed.
-    """
-
-    def __init__(self):
-        self.used = set()
-
-    def __getattr__(self, name):
-        self.used.add(name)
-        return getattr(np, name)
-
-
-class TestArrayNamespaces:
-    def test_resolve_defaults_to_numpy(self):
-        from repro.core.batch import resolve_array_namespace
-
-        assert resolve_array_namespace() is np
-        assert resolve_array_namespace(np) is np
-        assert resolve_array_namespace("numpy") is np
-
-    def test_resolve_rejects_unknown_backend_and_non_namespace(self):
-        from repro.core.batch import resolve_array_namespace
-
-        with pytest.raises(ParameterError):
-            resolve_array_namespace("not-a-backend")
-        with pytest.raises(ParameterError):
-            resolve_array_namespace(object())
-
-    def test_env_var_selects_default_backend(self, monkeypatch):
-        from repro.core.batch import resolve_array_namespace
-
-        monkeypatch.setenv("REPRO_ARRAY_BACKEND", "numpy")
-        assert resolve_array_namespace() is np
-        monkeypatch.setenv("REPRO_ARRAY_BACKEND", "not-a-backend")
-        with pytest.raises(ParameterError):
-            resolve_array_namespace()
-        # A fresh scheme's first batch() resolves through the env var too.
-        scheme = CenteredDiscretization.for_pixel_tolerance(2, 9)
-        with pytest.raises(ParameterError):
-            scheme.batch()
-
-    def test_kernels_run_unmodified_under_injected_namespace(self):
-        """Every scheme's kernel: injected-xp results == default results."""
-        pts = np.array(
-            [[100.0, 200.0], [5.0, 7.0], [613.0, 470.0], [59.0, 59.0]]
-        )
-        for scheme in _schemes_2d():
-            proxy = _NamespaceProxy()
-            kernel = scheme.batch(xp=proxy)
-            default = scheme.batch()
-            assert kernel is not default
-            assert kernel.xp is proxy
-            enrolled = kernel.enroll(pts)
-            reference = default.enroll(pts)
-            np.testing.assert_array_equal(enrolled.secret, reference.secret)
-            np.testing.assert_array_equal(enrolled.public, reference.public)
-            np.testing.assert_array_equal(
-                kernel.accepts(enrolled, pts), default.accepts(reference, pts)
-            )
-            lo, hi = kernel.acceptance_bounds(enrolled)
-            ref_lo, ref_hi = default.acceptance_bounds(reference)
-            np.testing.assert_array_equal(lo, ref_lo)
-            np.testing.assert_array_equal(hi, ref_hi)
-            assert proxy.used, "kernel never touched the injected namespace"
-
-    def test_injected_kernel_is_cached_per_namespace(self):
-        scheme = CenteredDiscretization.for_pixel_tolerance(2, 9)
-        proxy = _NamespaceProxy()
-        assert scheme.batch(xp=proxy) is scheme.batch(xp=proxy)
-        assert scheme.batch(xp=proxy) is not scheme.batch()
-        assert scheme.batch(xp=np) is not scheme.batch(xp=proxy)
-
-    @pytest.mark.parametrize("backend", ["cupy", "jax"])
-    def test_optional_accelerator_smoke(self, backend):
-        """cupy/jax drop in when installed; skips cleanly when not."""
-        from repro.core.batch import array_namespace_from_name
-
-        pytest.importorskip(backend)
-        xp = array_namespace_from_name(backend)
-        if backend == "jax":
-            # Resolving jax by name must opt into x64, or the float64
-            # exactness contract silently degrades to float32.
-            assert xp.asarray([1.5]).dtype == np.float64
-        pts = np.array([[100.0, 200.0], [5.0, 7.0], [613.0, 470.0]])
-        for scheme in _schemes_2d():
-            kernel = scheme.batch(xp=xp)
-            enrolled = kernel.enroll(pts)
-            reference = scheme.batch().enroll(pts)
-            np.testing.assert_array_equal(
-                np.asarray(enrolled.secret), reference.secret
-            )
-            np.testing.assert_array_equal(
-                np.asarray(kernel.accepts(enrolled, pts)),
-                scheme.batch().accepts(reference, pts),
-            )

@@ -32,6 +32,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.geometry.point import Point
+from repro.obs.metrics import quantile
 from repro.passwords.passpoints import PassPointsSystem
 from repro.passwords.policy import LockoutPolicy
 from repro.passwords.storage import backend_from_uri
@@ -42,7 +43,6 @@ from repro.serving import (
     flood_server,
     flood_service,
     mixed_stream,
-    percentile,
 )
 from repro.study.image import cars_image
 
@@ -423,12 +423,12 @@ async def test_concurrent_connections_share_batches(tmp_path):
 
 def test_percentile_nearest_rank():
     samples = [5.0, 1.0, 3.0, 2.0, 4.0]
-    assert percentile(samples, 0.0) == 1.0
-    assert percentile(samples, 0.5) == 3.0
-    assert percentile(samples, 1.0) == 5.0
-    assert percentile([], 0.5) is None
+    assert quantile(samples, 0.0) == 1.0
+    assert quantile(samples, 0.5) == 3.0
+    assert quantile(samples, 1.0) == 5.0
+    assert quantile([], 0.5) is None
     with pytest.raises(ValueError):
-        percentile(samples, 1.5)
+        quantile(samples, 1.5)
 
 
 def test_mixed_stream_deterministic_and_clamped():
