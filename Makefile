@@ -7,7 +7,7 @@ PYTHONPATH := src
 
 export PYTHONPATH
 
-.PHONY: test unit bench bench-store serve-bench attack-bench defense-bench obs-bench cluster-bench durable-bench grind-bench examples docs-check check
+.PHONY: test unit bench bench-store serve-bench attack-bench defense-bench obs-bench cluster-bench durable-bench grind-bench perfbench examples docs-check check
 
 ## Full tier-1 run: tests + benchmark reproduction gates.
 test:
@@ -66,6 +66,16 @@ durable-bench:
 grind-bench:
 	GRIND_ACCOUNTS=1000000 GRIND_BUDGET=64 GRIND_REPORT=1 \
 		$(PYTHON) examples/grind_million.py
+
+## The repo benchmark (BENCHMARK.json): one untraced 20 s run per workload
+## (seed 1), end-to-end metrics printed, every decision checked against a
+## reference.  Later flags win: PERFBENCH_ARGS="--seed 3 --seconds 10".
+perfbench:
+	@set -e; for workload in login-storm login-cluster grind; do \
+		echo "== $$workload"; \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 20 \
+			--trace 0 $(PERFBENCH_ARGS); \
+	done
 
 ## Execute every example end-to-end.
 examples:

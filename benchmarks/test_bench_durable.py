@@ -13,21 +13,25 @@ bench pins down what group commit buys on the same hardware:
 * **bulk enrollment** — :meth:`~repro.passwords.store.PasswordStore.enroll_many`
   (one ``write_batch`` holding one ``put_many`` + one
   ``put_throttle_many``) vs the ``create_account`` loop (two transactions
-  per account).  Gate: ≥2x.
+  per account), timed in paired rounds with the order alternating.
+  Gate: median per-round ratio ≥2x.
 
-Both gates are enforced only when ≥4 CPUs are schedulable (same rule and
-wording as the attack/cluster benches — an overloaded box measures
-scheduling noise, not the write path).  Bit-identical semantics are
-asserted *unconditionally*: the two modes must produce the same decision
-stream, the same persisted lockout state, and byte-identical ``dump()``
-password files.  Reports land in ``benchmarks/reports/
+Both gates are enforced at any core count: each side of each ratio runs
+in this one process, so a host with fewer CPUs slows both sides alike
+and the ratio still measures the write path (unlike the attack/cluster
+benches, whose worker processes time-slice on a small host).
+Bit-identical semantics are asserted too: the two modes must produce the
+same decision stream, the same persisted lockout state, and
+byte-identical ``dump()`` password files.  Reports land in ``benchmarks/reports/
 durable_throughput.txt`` (+ ``.json``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
+import statistics
 import time
 
 import numpy as np
@@ -48,7 +52,8 @@ ENROLL_ACCOUNTS = int(os.environ.get("DURABLE_ENROLL_ACCOUNTS", "300"))
 CLIENTS = 64
 WINDOW = 8
 ROUNDS = 3
-GATE_WORKERS = 4
+#: Paired bulk/loop enrollment rounds (order alternating).
+ENROLL_ROUNDS = 7
 MIN_SERVING_SPEEDUP = 3.0
 MIN_ENROLL_SPEEDUP = 2.0
 
@@ -59,13 +64,10 @@ def _cores() -> int:
     return default_workers()
 
 
-def _gate_note(gated: bool) -> str:
-    if gated:
-        return "ENFORCED"
+def _gate_note() -> str:
     return (
-        f"SKIPPED for lack of cores: need >= {GATE_WORKERS} schedulable "
-        f"CPUs, found {_cores()} — timings above are one core time-slicing "
-        f"{GATE_WORKERS} processes, not a regression"
+        f"ENFORCED at any core count ({_cores()} schedulable here): both "
+        "sides run in this one process"
     )
 
 
@@ -119,7 +121,6 @@ def _flood(store: PasswordStore, stream):
 def test_durable_serving_group_commit(tmp_path, reports_dir, capsys, json_report):
     """sqlite-backed async flood: group commit ≥3x forced per-record commits."""
     cores = _cores()
-    gated = cores >= GATE_WORKERS
     image = cars_image()
     accounts = _passwords(ACCOUNTS)
     stream = mixed_stream(
@@ -165,7 +166,6 @@ def test_durable_serving_group_commit(tmp_path, reports_dir, capsys, json_report
             if mode not in best or report.seconds < best[mode].seconds:
                 best[mode] = report
     speedup = best["group"].throughput / best["per-record"].throughput
-    skipped = None if gated else _gate_note(False)
 
     lines = [
         f"durable serving write path — sqlite backend, {ATTEMPTS:,}-attempt "
@@ -190,7 +190,7 @@ def test_durable_serving_group_commit(tmp_path, reports_dir, capsys, json_report
         "",
         "decisions, persisted lockout state and dump() bytes asserted",
         "identical between the two modes before timing",
-        f"gate (>={MIN_SERVING_SPEEDUP:.1f}x on sqlite): {_gate_note(gated)}",
+        f"gate (>={MIN_SERVING_SPEEDUP:.1f}x on sqlite): {_gate_note()}",
     ]
     _emit(reports_dir, capsys, "\n".join(lines), "w")
     json_report(
@@ -200,7 +200,6 @@ def test_durable_serving_group_commit(tmp_path, reports_dir, capsys, json_report
                 "metric": "serving_group_commit_speedup",
                 "value": round(speedup, 3),
                 "gate": MIN_SERVING_SPEEDUP,
-                "skipped": skipped,
             },
             {
                 "metric": "serving_group_logins_per_s",
@@ -213,17 +212,14 @@ def test_durable_serving_group_commit(tmp_path, reports_dir, capsys, json_report
         ],
     )
 
-    if gated:
-        assert speedup >= MIN_SERVING_SPEEDUP, (
-            f"group commit only {speedup:.2f}x over per-record commits on "
-            f"sqlite (floor {MIN_SERVING_SPEEDUP}x)"
-        )
+    assert speedup >= MIN_SERVING_SPEEDUP, (
+        f"group commit only {speedup:.2f}x over per-record commits on "
+        f"sqlite (floor {MIN_SERVING_SPEEDUP}x)"
+    )
 
 
 def test_bulk_enrollment_speedup(tmp_path, reports_dir, capsys, json_report):
     """enroll_many ≥2x the create_account loop on sqlite, state identical."""
-    cores = _cores()
-    gated = cores >= GATE_WORKERS
     accounts = _passwords(ENROLL_ACCOUNTS, prefix="enroll")
     scheme = CenteredDiscretization.for_pixel_tolerance(2, 9)
 
@@ -234,39 +230,63 @@ def test_bulk_enrollment_speedup(tmp_path, reports_dir, capsys, json_report):
             group_commit=group_commit,
         )
 
-    bulk_store = fresh("bulk", True)
-    started = time.perf_counter()
-    enrolled = bulk_store.enroll_many(list(accounts.items()))
-    bulk_seconds = time.perf_counter() - started
-    assert enrolled == ENROLL_ACCOUNTS
+    # Each timer starts right after a full collection, so neither side
+    # pays for a whole-heap collection the other side's garbage triggers.
+    def bulk(tag: str):
+        store = fresh(tag, True)
+        gc.collect()
+        started = time.perf_counter()
+        enrolled = store.enroll_many(list(accounts.items()))
+        elapsed = time.perf_counter() - started
+        assert enrolled == ENROLL_ACCOUNTS
+        return elapsed, store
 
-    loop_store = fresh("loop", False)
-    started = time.perf_counter()
-    for username, points in accounts.items():
-        loop_store.create_account(username, points)
-    loop_seconds = time.perf_counter() - started
+    def loop(tag: str):
+        store = fresh(tag, False)
+        gc.collect()
+        started = time.perf_counter()
+        for username, points in accounts.items():
+            store.create_account(username, points)
+        return time.perf_counter() - started, store
 
-    # Identical persisted state: password file and initial throttles.
-    assert bulk_store.backend.dump() == loop_store.backend.dump()
-    for username in accounts:
-        assert bulk_store.backend.get_throttle(
-            username
-        ) == loop_store.backend.get_throttle(username)
-    bulk_store.backend.close()
-    loop_store.backend.close()
+    # Paired rounds, order alternating: each round times both paths back
+    # to back on fresh files, so whichever runs first no longer pays the
+    # process's warm-up alone, and the gate reads the median ratio.
+    rounds = []
+    for index in range(ENROLL_ROUNDS):
+        if index % 2 == 0:
+            bulk_seconds, bulk_store = bulk(f"bulk-{index}")
+            loop_seconds, loop_store = loop(f"loop-{index}")
+        else:
+            loop_seconds, loop_store = loop(f"loop-{index}")
+            bulk_seconds, bulk_store = bulk(f"bulk-{index}")
+        # Identical persisted state: password file and initial throttles.
+        assert bulk_store.backend.dump() == loop_store.backend.dump()
+        for username in accounts:
+            assert bulk_store.backend.get_throttle(
+                username
+            ) == loop_store.backend.get_throttle(username)
+        bulk_store.backend.close()
+        loop_store.backend.close()
+        rounds.append((bulk_seconds, loop_seconds))
 
-    speedup = loop_seconds / bulk_seconds
-    skipped = None if gated else _gate_note(False)
+    ratios = [loop_seconds / bulk_seconds for bulk_seconds, loop_seconds in rounds]
+    speedup = statistics.median(ratios)
+    bulk_seconds = statistics.median(bulk_seconds for bulk_seconds, _ in rounds)
+    loop_seconds = statistics.median(loop_seconds for _, loop_seconds in rounds)
     lines = [
         "",
-        f"bulk enrollment — {ENROLL_ACCOUNTS} accounts into sqlite",
+        f"bulk enrollment — {ENROLL_ACCOUNTS} accounts into sqlite, "
+        f"{ENROLL_ROUNDS} paired rounds (order alternating; median seconds)",
         f"  enroll_many (one write_batch): {bulk_seconds:.3f}s "
         f"({ENROLL_ACCOUNTS / bulk_seconds:,.0f} accounts/s)",
         f"  create_account loop:           {loop_seconds:.3f}s "
         f"({ENROLL_ACCOUNTS / loop_seconds:,.0f} accounts/s)",
-        f"  bulk over loop: {speedup:.2f}x (floor {MIN_ENROLL_SPEEDUP:.1f}x)",
+        "  per-round ratios: " + " ".join(f"{r:.2f}" for r in ratios),
+        f"  bulk over loop (median ratio): {speedup:.2f}x "
+        f"(floor {MIN_ENROLL_SPEEDUP:.1f}x)",
         "  password file and initial throttle states asserted identical",
-        f"  gate (>={MIN_ENROLL_SPEEDUP:.1f}x): {_gate_note(gated)}",
+        f"  gate (>={MIN_ENROLL_SPEEDUP:.1f}x): {_gate_note()}",
     ]
     _emit(reports_dir, capsys, "\n".join(lines), "a")
     json_report(
@@ -276,7 +296,6 @@ def test_bulk_enrollment_speedup(tmp_path, reports_dir, capsys, json_report):
                 "metric": "bulk_enrollment_speedup",
                 "value": round(speedup, 3),
                 "gate": MIN_ENROLL_SPEEDUP,
-                "skipped": skipped,
             },
             {
                 "metric": "bulk_enrollment_accounts_per_s",
@@ -285,8 +304,7 @@ def test_bulk_enrollment_speedup(tmp_path, reports_dir, capsys, json_report):
         ],
     )
 
-    if gated:
-        assert speedup >= MIN_ENROLL_SPEEDUP, (
-            f"enroll_many only {speedup:.2f}x over the create_account loop "
-            f"(floor {MIN_ENROLL_SPEEDUP}x)"
-        )
+    assert speedup >= MIN_ENROLL_SPEEDUP, (
+        f"enroll_many only {speedup:.2f}x over the create_account loop "
+        f"(floor {MIN_ENROLL_SPEEDUP}x)"
+    )

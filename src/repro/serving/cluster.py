@@ -13,15 +13,22 @@ This module turns the same pieces into a real cluster:
 * **a thin asyncio router** (:class:`ClusterRouter`) — speaks the same
   JSONL protocol to clients, hashes ``user`` with the *same* blake2b
   :class:`~repro.passwords.storage.ConsistentHashRing` the backend uses,
-  and forwards frames over one persistent upstream connection per worker,
-  multiplexing pipelined requests by rewriting the client-chosen ``id``
-  to a per-upstream id and restoring it on the way back.  ``stats`` /
-  ``metrics`` / ``trace`` fan out to every worker and come back merged
-  (counters summed, histogram buckets and sample rings merged through
+  and relays ``login``/``enroll`` over one persistent upstream
+  connection per worker.  A relay parses the client frame once (the
+  check that keeps the hostile-frame replies), forwards the client's raw
+  bytes with a per-upstream ``"id":N`` appended as the last key, and
+  splices the client's ``id`` back onto the worker's reply in place of
+  its ``{"id":N`` prefix — no re-encode, no reply parse, no task.  A
+  reply without that exact prefix falls back to a parse.  Reply bytes
+  are therefore identical to a direct :class:`LoginServer`'s.  A lost
+  worker answers each relay in flight to it with an ``upstream`` error
+  under the client's id.  ``stats`` / ``metrics`` / ``trace`` fan out
+  to every worker and come back merged (counters summed, histogram
+  buckets and sample rings merged through
   :meth:`~repro.obs.MetricsRegistry.merge`);
 * **online resharding** (:meth:`ServingCluster.reshard`) — grow the ring
   (4→8 in the drill) under live traffic: new workers spawn on the new
-  shard files, then one old shard at a time is gated (requests for its
+  shard files, then one old shard at a time is gated (relays for its
   accounts park at the router), drained, migrated with
   ``rebalance(clear=False)``, and released onto the new ring.  An
   account's lockout/throttle state has exactly one authoritative home at
@@ -60,8 +67,10 @@ from repro.serving.server import (
     DEFAULT_MAX_PIPELINE,
     DEFAULT_MAX_REQUEST_BYTES,
     DEFAULT_WRITE_HIGH_WATER,
+    Connection,
     JsonLinesServer,
     LoginServer,
+    encode_line,
 )
 
 __all__ = [
@@ -76,10 +85,9 @@ __all__ = [
     "synthetic_points",
 ]
 
-#: Upstream read limit (bytes per response line).  Metrics fan-out replies
-#: carry raw histogram sample rings, so worker responses can be far larger
-#: than client requests.
-_UPSTREAM_READ_LIMIT = 2 ** 24
+#: Room a relayed frame needs beyond the client's bytes for the appended
+#: ``,"id":N`` (N below 10**18).
+_RELAY_ID_BYTES = 24
 
 #: Worker startup budget (seconds) — a soak worker enrolls its slice of a
 #: million-account population before reporting ready.
@@ -331,27 +339,40 @@ def merge_stats(replies: Sequence[dict]) -> dict:
     return merged
 
 
-class _Upstream:
+class _Upstream(asyncio.Protocol):
     """One persistent JSONL connection from the router to a shard worker.
 
     Pipelined requests multiplex over the single connection: each outgoing
-    frame gets a fresh upstream-local ``id``, a future parks in
-    ``_pending`` under that id, and the one reader task resolves futures
-    as response lines arrive (workers may answer out of order — every
-    request is its own task over there).  Client-chosen ids never cross
-    the upstream boundary, so two clients reusing ``id: 1`` cannot
-    collide.
+    frame carries a fresh upstream-local ``id``, and the worker's replies
+    (out of order — every request is its own task over there) are matched
+    back through ``_pending``.  Client-chosen ids never cross the upstream
+    boundary, so two clients reusing ``id: 1`` cannot collide.
+
+    A ``_pending`` entry is one of two things:
+
+    * a relayed ``login``/``enroll`` (:meth:`relay`): a plain
+      ``(client connection, encoded client id)`` pair.  Its reply is
+      spliced — the worker's ``{"id":N`` prefix is replaced by
+      ``{"id":<client id>`` — and queued on the client connection without
+      a parse or a re-encode;
+    * a fan-out request (:meth:`request`): a future that receives the
+      parsed reply.
+
+    Lines written during one event-loop pass leave in one transport
+    write.  When the connection is lost, every relay in flight is
+    answered with an ``upstream`` error and every future fails with
+    :class:`~repro.errors.ClusterError`.
     """
 
     def __init__(self, index: int, host: str, port: int) -> None:
         self.index = index
         self.host = host
         self.port = port
-        self._pending: Dict[int, asyncio.Future] = {}
+        self._pending: Dict[int, object] = {}
         self._next_id = 0
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
+        self._transport: Optional[asyncio.Transport] = None
+        self._out: Optional[Connection] = None
+        self._partial: List[bytes] = []
         self._closed = False
 
     @property
@@ -360,50 +381,107 @@ class _Upstream:
         return len(self._pending)
 
     async def connect(self) -> None:
-        """Open the persistent connection and start the demux reader."""
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=_UPSTREAM_READ_LIMIT
+        """Open the persistent connection; replies arrive via callbacks."""
+        await asyncio.get_running_loop().create_connection(
+            lambda: self, self.host, self.port
         )
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+
+    # -- asyncio.Protocol callbacks -------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._out = Connection(transport)
+
+    def data_received(self, data: bytes) -> None:
+        if b"\n" not in data:
+            self._partial.append(data)
+            return
+        if self._partial:
+            self._partial.append(data)
+            data = b"".join(self._partial)
+            self._partial.clear()
+        *lines, tail = data.split(b"\n")
+        if tail:
+            self._partial.append(tail)
+        for raw in lines:
+            self._answer(raw)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._closed = True
+        pending, self._pending = self._pending, {}
+        message = f"worker {self.index} connection lost"
+        for entry in pending.values():
+            if isinstance(entry, asyncio.Future):
+                if not entry.done():
+                    entry.set_exception(ClusterError(message))
+            else:
+                connection, client_id = entry
+                connection.send(_upstream_error(client_id, message))
+                connection.release()
+
+    # -- forwarding -------------------------------------------------------------
+
+    def relay(self, connection: Connection, client_id: bytes, frame: bytes) -> None:
+        """Forward one client frame (a JSON object's raw bytes, unparsed).
+
+        The upstream id is appended as the frame's last key — the
+        worker's ``json.loads`` keeps the last of duplicate keys — and the
+        reply goes straight back to *connection* under *client_id* (the
+        client's ``id``, already JSON-encoded).
+        """
+        if self._closed:
+            connection.send(
+                _upstream_error(client_id, f"worker {self.index} connection closed")
+            )
+            connection.release()
+            return
+        uid = self._next_id
+        self._next_id += 1
+        self._pending[uid] = (connection, client_id)
+        self._out.send(b'%s,"id":%d}\n' % (frame[:-1], uid))
 
     async def request(self, payload: dict) -> dict:
-        """Forward one frame and await its correlated response."""
-        if self._closed or self._writer is None:
+        """Forward one frame and await its parsed response (fan-out ops)."""
+        if self._closed or self._transport is None:
             raise ClusterError(f"worker {self.index} connection closed")
         uid = self._next_id
         self._next_id += 1
         frame = dict(payload)
         frame["id"] = uid
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
+        future = asyncio.get_running_loop().create_future()
         self._pending[uid] = future
-        self._writer.write(json.dumps(frame, separators=(",", ":")).encode() + b"\n")
-        try:
-            await self._writer.drain()
-        except ConnectionError as exc:
-            self._pending.pop(uid, None)
-            raise ClusterError(f"worker {self.index} connection lost") from exc
+        self._out.send(encode_line(frame))
         return await future
 
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                raw = await self._reader.readline()
-                if not raw:
-                    break
+    def _answer(self, raw: bytes) -> None:
+        """Route one worker reply line to whoever waits for it."""
+        response = None
+        comma = raw.find(b",", 6)
+        digits = raw[6:comma]
+        if comma > 6 and raw.startswith(b'{"id":') and digits.isdigit():
+            uid: object = int(digits)
+        else:  # not the worker's own compact prefix: parse to find the id
+            try:
                 response = json.loads(raw)
-                future = self._pending.pop(response.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._closed = True
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ClusterError(f"worker {self.index} connection lost")
-                    )
-            self._pending.clear()
+            except ValueError:
+                return
+            uid = response.get("id") if isinstance(response, dict) else None
+            if type(uid) is not int:
+                return
+        entry = self._pending.pop(uid, None)
+        if entry is None:
+            return
+        if isinstance(entry, asyncio.Future):
+            if not entry.done():
+                entry.set_result(json.loads(raw) if response is None else response)
+            return
+        connection, client_id = entry
+        if response is None:
+            connection.send(b'{"id":' + client_id + raw[comma:] + b"\n")
+        else:
+            response["id"] = json.loads(client_id)
+            connection.send(encode_line(response))
+        connection.release()
 
     async def drain_inflight(self) -> None:
         """Wait until no forwarded request is awaiting its response."""
@@ -411,17 +489,29 @@ class _Upstream:
             await asyncio.sleep(0.002)
 
     async def aclose(self) -> None:
-        """Cancel the reader and close the upstream socket."""
+        """Close the upstream socket (fails whatever is still in flight)."""
+        if self._closed or self._transport is None:
+            self._closed = True
+            return
+        self._out.flush()
         self._closed = True
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            await asyncio.gather(self._reader_task, return_exceptions=True)
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+        self._transport.close()
+        await asyncio.sleep(0)  # let connection_lost answer the stragglers
+
+
+def _upstream_error(client_id: bytes, message: str) -> bytes:
+    """The ``upstream`` error line for a relay, under its encoded client id."""
+    return (
+        b'{"id":' + client_id + b',"ok":false,"error":"upstream","message":'
+        + json.dumps(message).encode() + b"}\n"
+    )
+
+
+def _encode_id(request_id: object) -> bytes:
+    """A client ``id`` exactly as the reply encoder writes it."""
+    if type(request_id) is int:
+        return b"%d" % request_id
+    return json.dumps(request_id, separators=(",", ":")).encode()
 
 
 class ClusterRouter(JsonLinesServer):
@@ -429,10 +519,13 @@ class ClusterRouter(JsonLinesServer):
 
     Clients speak the exact :class:`~repro.serving.server.LoginServer`
     protocol.  ``login``/``enroll`` hash ``user`` on the shared
-    :class:`~repro.passwords.storage.ConsistentHashRing` and forward to
-    that shard's worker; ``stats``/``metrics``/``trace`` fan out to every
-    worker and reply merged; ``ping`` answers locally (with a ``workers``
-    count).  Client connections run on the server's connection core
+    :class:`~repro.passwords.storage.ConsistentHashRing` and are relayed
+    to that shard's worker without a task (see :meth:`_Upstream.relay`);
+    a frame with no room left under ``max_request_bytes`` for the
+    appended upstream id gets ``request_too_large``, because the worker
+    frames with the same limit.  ``stats``/``metrics``/``trace`` fan out
+    to every worker and reply merged; ``ping`` answers locally (with a
+    ``workers`` count).  Client connections run on the server's connection core
     (:class:`~repro.serving.server.JsonLinesServer`): size-limited framing
     (oversize → structured ``request_too_large``), an in-flight cap per
     connection, and write-buffer backpressure for slow readers — pauses
@@ -441,9 +534,10 @@ class ClusterRouter(JsonLinesServer):
 
     During a reshard (driven by :class:`ServingCluster`) the router holds
     two rings: accounts on already-migrated old shards route through the
-    new ring, accounts on the shard currently in its cutover window park
-    on a gate event, everyone else stays on the old ring.  The gate is the
-    "brief per-shard cutover" the drill measures.
+    new ring, relays for accounts on the shard currently in its cutover
+    window park on that shard's gate (and are re-routed when
+    :meth:`complete_shard` releases it), everyone else stays on the old
+    ring.  The gate is the "brief per-shard cutover" the drill measures.
     """
 
     def __init__(
@@ -470,7 +564,8 @@ class ClusterRouter(JsonLinesServer):
         self._next_upstreams: Optional[List[_Upstream]] = None
         self._next_ring: Optional[ConsistentHashRing] = None
         self._migrated: Set[int] = set()
-        self._gates: Dict[int, asyncio.Event] = {}
+        #: Relays parked per shard in its cutover window.
+        self._parked: Dict[int, List[tuple]] = {}
 
     @property
     def worker_count(self) -> int:
@@ -498,18 +593,42 @@ class ClusterRouter(JsonLinesServer):
 
     # -- routing -------------------------------------------------------------
 
-    async def _route(self, username: str) -> _Upstream:
-        """The upstream owning *username* right now (parks mid-cutover)."""
-        while True:
-            index = self._ring.index_for(username)
-            if self._next_ring is None:
-                return self._upstreams[index]
-            if index in self._migrated:
-                return self._next_upstreams[self._next_ring.index_for(username)]
-            gate = self._gates.get(index)
-            if gate is None:
-                return self._upstreams[index]
-            await gate.wait()  # cutover window: re-evaluate once released
+    def _accept(self, connection: Connection, request: dict, line: bytes) -> None:
+        op = request.get("op")
+        if op != "login" and op != "enroll":
+            super()._accept(connection, request, line)
+            return
+        client_id = _encode_id(request.get("id"))
+        if b"\x00" in line:
+            # UTF-16/32 JSON (every such encoding of "{" holds a NUL byte):
+            # the id cannot be spliced into those bytes, so forward the
+            # parsed frame as UTF-8 instead.
+            line = json.dumps(request, separators=(",", ":")).encode()
+        limit = self._max_request_bytes - _RELAY_ID_BYTES
+        if len(line) > limit:
+            # The worker frames with the same limit; with the upstream id
+            # appended this line could overrun it and never be answered.
+            self.oversize_rejected += 1
+            message = f"request line exceeded {limit} bytes"
+            reply = self._error_reply(None, "request_too_large", message)
+            connection.send(encode_line(reply))
+            connection.release()
+            return
+        self._relay(str(request.get("user")), (connection, client_id, line))
+
+    def _relay(self, username: str, relay: tuple) -> None:
+        """Forward one ``(connection, client id, frame)`` relay to the
+        upstream owning *username*, or park it while its shard cuts over."""
+        index = self._ring.index_for(username)
+        if self._next_ring is None:
+            self._upstreams[index].relay(*relay)
+        elif index in self._migrated:
+            upstream = self._next_upstreams[self._next_ring.index_for(username)]
+            upstream.relay(*relay)
+        elif index in self._parked:
+            self._parked[index].append((username, relay))
+        else:
+            self._upstreams[index].relay(*relay)
 
     def _fanout_targets(self) -> List[_Upstream]:
         """Every upstream that currently owns any account."""
@@ -539,17 +658,18 @@ class ClusterRouter(JsonLinesServer):
         self._migrated = set()
 
     async def cutover(self, shard_index: int) -> None:
-        """Open shard *shard_index*'s cutover window: gate new requests
+        """Open shard *shard_index*'s cutover window: park new requests
         for its accounts and wait until its in-flight requests drain —
         after this returns, the parent may migrate the shard's backend."""
-        self._gates[shard_index] = asyncio.Event()
+        self._parked[shard_index] = []
         await self._upstreams[shard_index].drain_inflight()
 
     def complete_shard(self, shard_index: int) -> None:
         """Close the cutover window: the shard's accounts now route
-        through the new ring; parked requests resume."""
+        through the new ring; parked requests are forwarded there."""
         self._migrated.add(shard_index)
-        self._gates.pop(shard_index).set()
+        for username, relay in self._parked.pop(shard_index):
+            self._relay(username, relay)
 
     async def finish_reshard(self) -> None:
         """Swap the new ring in as current and drop the old upstreams."""
@@ -568,11 +688,6 @@ class ClusterRouter(JsonLinesServer):
         request_id = request.get("id")
         op = request.get("op")
         try:
-            if op in ("login", "enroll"):
-                upstream = await self._route(str(request.get("user")))
-                response = dict(await upstream.request(request))
-                response["id"] = request_id
-                return response
             if op == "stats":
                 replies = await self._fan_out({"op": "stats"})
                 response = merge_stats(replies)

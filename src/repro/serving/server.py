@@ -44,8 +44,11 @@ is :mod:`repro.serving.flood` / ``repro flood``.
 The connection handling lives in :class:`JsonLinesServer`, which this
 module's :class:`LoginServer` and the cluster's
 :class:`~repro.serving.cluster.ClusterRouter` both extend with only a
-request dispatcher.  It enforces three hardening contracts per
-connection:
+request dispatcher.  Replies go out through a per-connection
+:class:`Connection`: every line answered during one event-loop pass
+leaves in a single transport write, and when the client half-closes,
+every request still in flight is answered before the connection closes.
+It enforces three hardening contracts per connection:
 
 * **request-size limit** — a line longer than ``max_request_bytes`` gets
   a structured ``{"error": "request_too_large"}`` reply and the
@@ -57,7 +60,9 @@ connection:
 * **slow-client backpressure** — when a client stops reading and the
   connection's write buffer exceeds the high-water mark, the server
   stops reading further requests from that connection until the buffer
-  drains, without stalling other connections.
+  drains, without stalling other connections.  This check between reads
+  is the only write-side flow control; replies are not drained one by
+  one.
 """
 
 from __future__ import annotations
@@ -74,10 +79,12 @@ from repro.passwords.store import PasswordStore
 from repro.serving.service import AsyncVerificationService
 
 __all__ = [
+    "Connection",
     "JsonLinesServer",
     "LineReader",
     "LoginServer",
     "OVERSIZE",
+    "encode_line",
     "parse_points",
 ]
 
@@ -180,6 +187,75 @@ class LineReader:
                 self._eof = True
                 return
             self._buffer.extend(chunk)
+
+
+def encode_line(payload: dict) -> bytes:
+    """One reply object as a compact JSON line (newline included)."""
+    return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+
+
+class Connection:
+    """One connection's write side: coalesced writes, pipeline slots.
+
+    *writer* is a :class:`asyncio.StreamWriter` or a transport (the
+    router's upstreams use only the write side).  :meth:`send` queues a
+    line; every line queued during one event-loop pass leaves in a
+    single transport write, flushed by a ``call_soon`` callback, so a
+    burst of pipelined replies costs one ``send()`` syscall instead of
+    one each.  Writes to a connection the peer already closed are
+    dropped.  :attr:`inflight` counts frames accepted but not yet
+    answered; whoever answers a frame calls :meth:`release` after
+    sending its reply.
+    """
+
+    __slots__ = ("_writer", "_loop", "_queued", "_waiter", "inflight", "tasks")
+
+    def __init__(
+        self, writer: Union[asyncio.StreamWriter, asyncio.WriteTransport]
+    ) -> None:
+        self._writer = writer
+        self._loop = asyncio.get_running_loop()
+        self._queued: list = []
+        self._waiter: Optional[asyncio.Future] = None
+        #: Frames accepted on this connection and not yet answered.
+        self.inflight = 0
+        #: Dispatch tasks still running (strong references; see
+        #: :meth:`JsonLinesServer._accept`).
+        self.tasks: set = set()
+
+    def send(self, line: bytes) -> None:
+        """Queue one reply line for this loop pass's write."""
+        if not self._queued:
+            self._loop.call_soon(self.flush)
+        self._queued.append(line)
+
+    def flush(self) -> None:
+        """Write every queued line now, in one transport write."""
+        if not self._queued:
+            return
+        data = b"".join(self._queued)
+        self._queued.clear()
+        if not self._writer.is_closing():
+            self._writer.write(data)
+
+    def release(self) -> None:
+        """Free the pipeline slot of one answered frame."""
+        self.inflight -= 1
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def settle(self, task: asyncio.Task) -> None:
+        """Done-callback of a dispatch task: drop it and free its slot."""
+        self.tasks.discard(task)
+        self.release()
+
+    async def wait_below(self, limit: int) -> None:
+        """Park until fewer than *limit* frames are in flight."""
+        while self.inflight >= limit:
+            self._waiter = self._loop.create_future()
+            await self._waiter
+        self._waiter = None
 
 
 def parse_points(payload: object) -> Sequence[Point]:
@@ -332,17 +408,20 @@ class JsonLinesServer:
 
     # -- connection handling ---------------------------------------------------
 
-    async def _respond(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        # One write() per complete line keeps concurrent responses whole.
-        writer.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
-        try:
-            await writer.drain()
-        except ConnectionError:  # client went away mid-response
-            pass
+    def _accept(self, connection: Connection, request: dict, line: bytes) -> None:
+        """Start answering one parsed frame; its pipeline slot is held.
 
-    async def _handle_request(
-        self, writer: asyncio.StreamWriter, request: dict
-    ) -> None:
+        The default runs :meth:`_dispatch` as its own task, so pipelined
+        logins from one connection land in the same batch instead of
+        serializing.  Whoever answers the frame sends exactly one reply
+        line and then calls :meth:`Connection.release`.  *line* is the
+        frame's raw bytes, for a subclass that forwards them unparsed.
+        """
+        task = asyncio.ensure_future(self._handle_request(connection, request))
+        connection.tasks.add(task)
+        task.add_done_callback(connection.settle)
+
+    async def _handle_request(self, connection: Connection, request: dict) -> None:
         try:
             response = await self._dispatch(request)
         except Exception as exc:  # anything _dispatch did not map itself
@@ -350,7 +429,7 @@ class JsonLinesServer:
             response = self._error_reply(
                 request.get("id"), "internal", f"{type(exc).__name__}: {exc}"
             )
-        await self._respond(writer, response)
+        connection.send(encode_line(response))
 
     def _count_backpressure(self, reason: str) -> None:
         """Record one reader pause (plain dict + registry counter)."""
@@ -371,19 +450,11 @@ class JsonLinesServer:
             except (AttributeError, ValueError, RuntimeError):
                 pass  # exotic transports without buffer limits
         lines = LineReader(reader, self._max_request_bytes)
-        inflight = asyncio.Semaphore(self._max_pipeline)
-        # Only in-flight requests are tracked: completed tasks remove
-        # themselves, so a long-lived pipelining connection doesn't
-        # accumulate one Task object per request it ever made.
-        tasks: set = set()
+        connection = Connection(writer)
 
-        def _settle(task: asyncio.Task) -> None:
-            tasks.discard(task)
-            inflight.release()
-
-        async def reject(error: str, message: str) -> None:
+        def reject(error: str, message: str) -> None:
             # A frame that never reaches _dispatch: no request id to echo.
-            await self._respond(writer, self._error_reply(None, error, message))
+            connection.send(encode_line(self._error_reply(None, error, message)))
 
         try:
             while True:
@@ -412,7 +483,7 @@ class JsonLinesServer:
                     self.oversize_rejected += 1
                     if self._obs_oversize is not None:
                         self._obs_oversize.inc()
-                    await reject(
+                    reject(
                         "request_too_large",
                         f"request line exceeded {self._max_request_bytes} bytes",
                     )
@@ -422,29 +493,27 @@ class JsonLinesServer:
                     continue
                 try:
                     request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    await reject("protocol", f"malformed JSON line: {exc}")
+                except (ValueError, RecursionError) as exc:
+                    reject("protocol", f"malformed JSON line: {exc}")
                     continue
                 if not isinstance(request, dict):
                     kind = type(request).__name__
-                    await reject(
-                        "protocol", f"request must be a JSON object, got {kind}"
-                    )
+                    reject("protocol", f"request must be a JSON object, got {kind}")
                     continue
                 # Bounded pipelining: cap in-flight requests on this
                 # connection; the reader parks here until one drains.
-                if inflight.locked():
+                if connection.inflight >= self._max_pipeline:
                     self._count_backpressure("pipeline")
-                await inflight.acquire()
-                # Each request is its own task so pipelined logins from one
-                # connection land in the same batch instead of serializing.
-                task = asyncio.ensure_future(self._handle_request(writer, request))
-                tasks.add(task)
-                task.add_done_callback(_settle)
+                    await connection.wait_below(self._max_pipeline)
+                connection.inflight += 1
+                self._accept(connection, request, line)
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
+            # EOF still answers every request in flight before closing.
+            try:
+                await connection.wait_below(1)
+            finally:
+                connection.flush()
+                writer.close()
             try:
                 await writer.wait_closed()
             except (asyncio.CancelledError, ConnectionError):

@@ -16,7 +16,12 @@ The ISSUE-9 acceptance criteria live here:
   replay, and the migrated throttle counters match it exactly;
 * ``rebalance(clear=False)`` interleaved with live logins (the in-process
   property test) never contradicts the single-backend reference and never
-  moves a failure counter backwards.
+  moves a failure counter backwards;
+* the router's relay is transparent — reply bytes equal a direct
+  ``LoginServer``'s for a table of ids and frames — and its failure
+  paths hold: a SIGKILLed worker answers each relay in flight to it with
+  exactly one ``upstream`` error while the other shard decides like the
+  scalar reference, and a half-closed client still gets every reply.
 
 Spawned-worker tests use the real ``multiprocessing`` spawn path, so each
 costs ~1–2 s of worker startup; they are kept few and load-bearing.
@@ -35,13 +40,14 @@ from repro.errors import ClusterError, LockoutError, ParameterError, StoreError
 from repro.geometry.point import Point
 from repro.obs import MetricsRegistry
 from repro.passwords.passpoints import PassPointsSystem
+from repro.passwords.policy import LockoutPolicy
 from repro.passwords.storage import (
     ConsistentHashRing,
     ShardedBackend,
     backend_from_uri,
     rebalance,
 )
-from repro.passwords.store import PasswordStore, deployed_store
+from repro.passwords.store import PasswordStore, deployed_store, scheme_named
 from repro.serving import (
     ClusterRouter,
     LineReader,
@@ -292,6 +298,136 @@ async def test_server_answers_every_hostile_frame(door):
     await close()
 
 
+async def _exchange(address, frames):
+    """Send *frames* one at a time on one connection; the raw reply lines."""
+    reader, writer = await asyncio.open_connection(*address)
+    replies = []
+    for frame in frames:
+        writer.write(frame + b"\n")
+        await writer.drain()
+        replies.append(await asyncio.wait_for(reader.readline(), timeout=5))
+    writer.close()
+    await writer.wait_closed()
+    return replies
+
+
+async def test_router_is_transparent():
+    """The same frames straight to a LoginServer and through a router in
+    front of an identical one get byte-identical replies."""
+    _, points = _server_store()
+    good = _wire(points)
+    fresh = [[x + 5, y + 5] for x, y in good]
+
+    def login(request_id, user="alice", pts=good, **extra):
+        return json.dumps(
+            {"op": "login", "id": request_id, "user": user, "points": pts, **extra}
+        ).encode()
+
+    frames = [login(request_id) for request_id in (1, "s-1", None, 1.5, [1, [2, "é"]])]
+    frames += [
+        # A repeated id key: the last one is the request's id.
+        b'{"id":7,"op":"login","user":"alice","points":%s,"id":"last"}'
+        % json.dumps(good).encode(),
+        b'{"op": "login",  "user": "alice", "points": %s}' % json.dumps(good).encode(),
+        login(8, pts=_wire(_wrong(points))),
+        login(9, user="ghost"),
+        login(10, user=None),
+        login(11, pts=[[good[0][0], "BAD"]] + good[1:]).replace(b'"BAD"', b"1e400"),
+        login(12, pts=[["BAD", good[0][1]]] + good[1:]).replace(b'"BAD"', b"true"),
+        login(13, pts="nope"),
+        json.dumps({"op": "enroll", "id": 14, "user": "bob", "points": fresh}).encode(),
+        login(15, user="bob", pts=fresh),
+        json.dumps({"op": "enroll", "id": 16, "user": "bob", "points": fresh}).encode(),
+        json.dumps({"op": "warp", "id": 17}).encode(),
+        b'{"id": 18}',
+        # UTF-16 JSON parses too; the router forwards it re-encoded.
+        login(19).decode().encode("utf-16-le"),
+        b"[1,2]",
+        b"\xff\xfe\xfd",
+        b"[" * 5000,
+        b'{"op":"login","id":20,',
+    ]
+
+    direct = await LoginServer(_server_store()[0]).start()
+    behind = await LoginServer(_server_store()[0]).start()
+    router = await ClusterRouter().start([behind.address])
+    try:
+        expected = await _exchange(direct.address, frames)
+        relayed = await _exchange(router.address, frames)
+        assert relayed == expected
+        decoded = [json.loads(line) for line in expected]
+        assert [reply["id"] for reply in decoded[:6]] == [
+            1, "s-1", None, 1.5, [1, [2, "é"]], "last",
+        ]
+        assert decoded[0]["status"] == "accept" and decoded[-5]["status"] == "accept"
+        # Not JSON objects (bad UTF-8, parser recursion, truncation too).
+        assert [reply["error"] for reply in decoded[-4:]] == ["protocol"] * 4
+        assert all(upstream.inflight == 0 for upstream in router._upstreams)
+    finally:
+        await router.aclose()
+        await behind.aclose()
+        await direct.aclose()
+
+
+async def test_router_leaves_room_for_the_upstream_id():
+    """A frame with no room left for the appended upstream id is refused
+    at the router instead of overrunning the worker's equal size limit
+    (where its reply could not be matched and its slot would never
+    free); a frame that fits is relayed."""
+    store, points = _server_store()
+    server = await LoginServer(store, max_request_bytes=256).start()
+    router = await ClusterRouter(max_request_bytes=256).start([server.address])
+
+    def padded(request_id, size):
+        frame = json.dumps(
+            {"op": "login", "id": request_id, "user": "alice",
+             "points": _wire(points), "pad": ""}
+        ).encode()
+        pad = b"x" * (size - len(frame))
+        return frame.replace(b'"pad": ""', b'"pad": "' + pad + b'"')
+
+    try:
+        too_big, fits = padded(1, 256), padded(2, 232)
+        assert (len(too_big), len(fits)) == (256, 232)
+        lines = await _exchange(router.address, [too_big, fits])
+        replies = [json.loads(line) for line in lines]
+        assert replies[0]["error"] == "request_too_large" and replies[0]["id"] is None
+        assert replies[1] == {"id": 2, "ok": True, "status": "accept"}
+        assert router.oversize_rejected == 1
+        assert all(upstream.inflight == 0 for upstream in router._upstreams)
+    finally:
+        await router.aclose()
+        await server.aclose()
+
+
+@pytest.mark.parametrize("door", DOORS)
+async def test_half_closed_client_gets_every_reply(door):
+    """A client that pipelines K logins and then half-closes its side
+    still receives all K replies before the door closes the connection."""
+    store, points = _server_store()
+    front, _, close = await _start_door(door, store)
+    reader, writer = await asyncio.open_connection(*front.address)
+    count = 60
+    writer.write(
+        b"".join(
+            json.dumps(
+                {"op": "login", "id": i, "user": "alice", "points": _wire(points)}
+            ).encode() + b"\n"
+            for i in range(count)
+        )
+    )
+    writer.write_eof()
+    lines = []
+    while line := await asyncio.wait_for(reader.readline(), timeout=10):
+        lines.append(json.loads(line))
+    assert sorted(reply["id"] for reply in lines) == list(range(count))
+    assert all(reply["status"] == "accept" for reply in lines)
+    if door == "router":
+        assert all(upstream.inflight == 0 for upstream in front._upstreams)
+    writer.close()
+    await close()
+
+
 async def test_server_write_buffer_backpressure_scoped_to_slow_client():
     """A reader that stops consuming fills its write buffer: the server
     pauses that connection (counted) while other connections stay live."""
@@ -457,6 +593,88 @@ async def test_router_routes_merges_and_hardens(tmp_path):
         await writer.wait_closed()
     finally:
         await cluster.aclose()
+
+
+async def test_killed_worker_fails_only_its_relays():
+    """SIGKILL one shard worker mid-flood: every login relayed to it gets
+    exactly one ``upstream`` error under the client's id, the client
+    connection survives, and the other shard keeps deciding exactly like
+    the scalar reference."""
+    image = cars_image()
+    seed, users = 5, 40
+    cluster = ServingCluster(workers=2, users=users, seed=seed)
+    await cluster.start()
+    try:
+        ring = ConsistentHashRing(2)
+        passwords = {
+            cluster_username(index): synthetic_points(
+                index, seed, image.width, image.height
+            )
+            for index in range(users)
+        }
+        names = sorted(passwords)
+        shard_of = {username: ring.index_for(username) for username in names}
+        frames = {}
+        for i in range(600):
+            username = names[i % users]
+            attempt = passwords[username] if i % 3 else _wrong(passwords[username])
+            frames[f"c{i}"] = (username, attempt)
+        reader, writer = await asyncio.open_connection(*cluster.address)
+        writer.write(
+            b"".join(
+                json.dumps(
+                    {"op": "login", "id": cid, "user": user, "points": _wire(att)}
+                ).encode() + b"\n"
+                for cid, (user, att) in frames.items()
+            )
+        )
+        await writer.drain()
+        replies = [json.loads(await reader.readline()) for _ in range(50)]
+        cluster._handles[0].process.kill()
+        while len(replies) < len(frames):
+            line = await asyncio.wait_for(reader.readline(), timeout=10)
+            replies.append(json.loads(line))
+        # The connection survives and the surviving shard still serves it.
+        pong = await _request(reader, writer, {"op": "ping", "id": "p"})
+        assert pong["status"] == "pong"
+        survivor = [name for name in names if shard_of[name] == 1][0]
+        after = await _request(
+            reader, writer,
+            {"op": "login", "id": "after", "user": survivor,
+             "points": _wire(passwords[survivor])},
+        )
+        assert after == {"id": "after", "ok": True, "status": "accept"}
+        writer.close()
+        await writer.wait_closed()
+        assert all(upstream.inflight == 0 for upstream in cluster.router._upstreams)
+    finally:
+        await cluster.aclose()
+
+    assert sorted(reply["id"] for reply in replies) == sorted(frames)
+    reference = PasswordStore(
+        system=PassPointsSystem(image=image, scheme=scheme_named("centered", 9)),
+        policy=LockoutPolicy(max_failures=None),
+    )
+    for username, points in passwords.items():
+        reference.create_account(username, points)
+    failed = 0
+    for reply in replies:
+        username, attempt = frames[reply["id"]]
+        if reply["ok"]:
+            expected = "accept" if reference.login(username, attempt) else "reject"
+            assert reply["status"] == expected, reply
+            continue
+        failed += 1
+        assert shard_of[username] == 0, reply
+        assert reply["error"] == "upstream" and "worker 0" in reply["message"]
+        assert set(reply) == {"id", "ok", "error", "message"}
+    assert failed > 0
+    # Some relays were in flight when the worker died (not merely sent
+    # after its connection had closed).
+    assert any(
+        reply["message"].endswith("connection lost")
+        for reply in replies if not reply["ok"]
+    )
 
 
 def test_cluster_constructor_validates_shape():
