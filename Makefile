@@ -69,12 +69,12 @@ grind-bench:
 
 ## The repo benchmark (BENCHMARK.json): one untraced 20 s run per workload
 ## (seed 1), end-to-end metrics printed, every decision checked against a
-## reference.  Later flags win: PERFBENCH_ARGS="--seed 3 --seconds 10".
+## reference.
 perfbench:
 	@set -e; for workload in login-storm login-cluster grind; do \
 		echo "== $$workload"; \
-		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 20 \
-			--trace 0 $(PERFBENCH_ARGS); \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 20 \
+			--trace 0; \
 	done
 
 ## Execute every example end-to-end.

@@ -899,9 +899,13 @@ def _ring_position(key: str) -> int:
 
     Python's builtin ``hash`` is salted per process, so routing is pinned
     to a keyed-less blake2b instead: the same username lands on the same
-    shard in every process that opens the store.
+    shard in every process that opens the store.  ``surrogatepass`` keeps
+    the ring total over every ``str`` (a JSON frame can carry a lone
+    surrogate); any other key encodes exactly as plain UTF-8.
     """
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    digest = hashlib.blake2b(
+        key.encode("utf-8", "surrogatepass"), digest_size=8
+    ).digest()
     return int.from_bytes(digest, "big")
 
 

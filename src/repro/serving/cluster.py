@@ -18,13 +18,13 @@ This module turns the same pieces into a real cluster:
   check that keeps the hostile-frame replies), forwards the client's raw
   bytes with a per-upstream ``"id":N`` appended as the last key, and
   splices the client's ``id`` back onto the worker's reply in place of
-  its ``{"id":N`` prefix — no re-encode, no reply parse, no task.  A
-  reply without that exact prefix falls back to a parse.  Reply bytes
-  are therefore identical to a direct :class:`LoginServer`'s.  A lost
-  worker answers each relay in flight to it with an ``upstream`` error
-  under the client's id.  ``stats`` / ``metrics`` / ``trace`` fan out
-  to every worker and come back merged (counters summed, histogram
-  buckets and sample rings merged through
+  its ``{"id":N`` prefix — no re-encode, no reply parse, no task.  Reply
+  bytes are therefore identical to a direct :class:`LoginServer`'s.  A
+  worker reply without that exact prefix breaks the protocol and drops
+  the worker's connection.  A lost worker answers each relay in flight
+  to it with an ``upstream`` error under the client's id.  ``stats`` /
+  ``metrics`` / ``trace`` fan out to every worker and come back merged
+  (counters summed, histogram buckets and sample rings merged through
   :meth:`~repro.obs.MetricsRegistry.merge`);
 * **online resharding** (:meth:`ServingCluster.reshard`) — grow the ring
   (4→8 in the drill) under live traffic: new workers spawn on the new
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import multiprocessing
 import os
 import time
@@ -359,8 +360,9 @@ class _Upstream(asyncio.Protocol):
       parsed reply.
 
     Lines written during one event-loop pass leave in one transport
-    write.  When the connection is lost, every relay in flight is
-    answered with an ``upstream`` error and every future fails with
+    write.  When the connection is lost, or the worker sends a reply
+    without its ``{"id":N,`` prefix, every relay in flight is answered
+    with an ``upstream`` error and every future fails with
     :class:`~repro.errors.ClusterError`.
     """
 
@@ -454,34 +456,44 @@ class _Upstream(asyncio.Protocol):
         return await future
 
     def _answer(self, raw: bytes) -> None:
-        """Route one worker reply line to whoever waits for it."""
-        response = None
+        """Route one worker reply line to whoever waits for it.
+
+        Every worker reply starts with the compact ``{"id":N,`` prefix the
+        server's encoder writes; a line without it is a protocol fault of
+        the worker (see :meth:`_fault`).
+        """
         comma = raw.find(b",", 6)
         digits = raw[6:comma]
-        if comma > 6 and raw.startswith(b'{"id":') and digits.isdigit():
-            uid: object = int(digits)
-        else:  # not the worker's own compact prefix: parse to find the id
-            try:
-                response = json.loads(raw)
-            except ValueError:
-                return
-            uid = response.get("id") if isinstance(response, dict) else None
-            if type(uid) is not int:
-                return
+        if comma <= 6 or not raw.startswith(b'{"id":') or not digits.isdigit():
+            self._fault(raw)
+            return
+        uid = int(digits)
         entry = self._pending.pop(uid, None)
         if entry is None:
             return
         if isinstance(entry, asyncio.Future):
+            try:
+                response = json.loads(raw)
+            except ValueError:
+                self._pending[uid] = entry  # connection_lost fails it
+                self._fault(raw)
+                return
             if not entry.done():
-                entry.set_result(json.loads(raw) if response is None else response)
+                entry.set_result(response)
             return
         connection, client_id = entry
-        if response is None:
-            connection.send(b'{"id":' + client_id + raw[comma:] + b"\n")
-        else:
-            response["id"] = json.loads(client_id)
-            connection.send(encode_line(response))
+        connection.send(b'{"id":' + client_id + raw[comma:] + b"\n")
         connection.release()
+
+    def _fault(self, raw: bytes) -> None:
+        """Drop a worker that broke the reply protocol: closing the socket
+        makes :meth:`connection_lost` answer every relay in flight with an
+        ``upstream`` error and fail every future."""
+        logging.getLogger(__name__).error(
+            "worker %d sent a malformed reply: %.80r", self.index, raw
+        )
+        self._closed = True
+        self._transport.close()
 
     async def drain_inflight(self) -> None:
         """Wait until no forwarded request is awaiting its response."""

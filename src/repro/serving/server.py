@@ -416,6 +416,9 @@ class JsonLinesServer:
         serializing.  Whoever answers the frame sends exactly one reply
         line and then calls :meth:`Connection.release`.  *line* is the
         frame's raw bytes, for a subclass that forwards them unparsed.
+        An override that raises must do so before it answers or parks the
+        frame: the read loop then answers it ``internal`` and frees its
+        slot.
         """
         task = asyncio.ensure_future(self._handle_request(connection, request))
         connection.tasks.add(task)
@@ -425,11 +428,15 @@ class JsonLinesServer:
         try:
             response = await self._dispatch(request)
         except Exception as exc:  # anything _dispatch did not map itself
-            logging.getLogger(__name__).exception("request dispatch failed")
-            response = self._error_reply(
-                request.get("id"), "internal", f"{type(exc).__name__}: {exc}"
-            )
+            response = self._internal_reply(request, exc)
         connection.send(encode_line(response))
+
+    def _internal_reply(self, request: dict, exc: Exception) -> dict:
+        """The ``internal`` reply to a frame whose handling raised *exc*."""
+        logging.getLogger(__name__).exception("request dispatch failed")
+        return self._error_reply(
+            request.get("id"), "internal", f"{type(exc).__name__}: {exc}"
+        )
 
     def _count_backpressure(self, reason: str) -> None:
         """Record one reader pause (plain dict + registry counter)."""
@@ -506,7 +513,11 @@ class JsonLinesServer:
                     self._count_backpressure("pipeline")
                     await connection.wait_below(self._max_pipeline)
                 connection.inflight += 1
-                self._accept(connection, request, line)
+                try:
+                    self._accept(connection, request, line)
+                except Exception as exc:
+                    connection.send(encode_line(self._internal_reply(request, exc)))
+                    connection.release()
         finally:
             # EOF still answers every request in flight before closing.
             try:

@@ -291,6 +291,21 @@ async def test_server_answers_every_hostile_frame(door):
         "id": 9, "ok": False, "error": "internal", "message": "RuntimeError: boom"
     }
 
+    # A lone surrogate is valid JSON but not UTF-8: the ring still routes it.
+    response = await send(b'{"op":"login","id":11,"user":"\\ud800","points":[]}')
+    assert response["id"] == 11 and response["error"] == "protocol"
+
+    def sync_boom(connection, request, line):
+        raise RuntimeError("sync boom")
+
+    # A frame whose _accept raises is answered, and its slot freed.
+    front._accept = sync_boom
+    response = await send(b'{"op":"login","id":12,"user":"alice","points":[]}')
+    del front._accept
+    assert response == {
+        "id": 12, "ok": False, "error": "internal", "message": "RuntimeError: sync boom"
+    }
+
     assert (await send(b'{"op":"ping","id":10}'))["status"] == "pong"
     if door == "router":
         assert all(upstream.inflight == 0 for upstream in front._upstreams)
@@ -346,6 +361,8 @@ async def test_router_is_transparent():
         b"\xff\xfe\xfd",
         b"[" * 5000,
         b'{"op":"login","id":20,',
+        login(21, user="\ud800"),
+        login(22, user="\ud800", pts=[]),
     ]
 
     direct = await LoginServer(_server_store()[0]).start()
@@ -359,9 +376,11 @@ async def test_router_is_transparent():
         assert [reply["id"] for reply in decoded[:6]] == [
             1, "s-1", None, 1.5, [1, [2, "é"]], "last",
         ]
-        assert decoded[0]["status"] == "accept" and decoded[-5]["status"] == "accept"
+        assert decoded[0]["status"] == "accept" and decoded[-7]["status"] == "accept"
         # Not JSON objects (bad UTF-8, parser recursion, truncation too).
-        assert [reply["error"] for reply in decoded[-4:]] == ["protocol"] * 4
+        assert [reply["error"] for reply in decoded[-6:-2]] == ["protocol"] * 4
+        # A lone-surrogate user is routed like any other.
+        assert [reply["error"] for reply in decoded[-2:]] == ["StoreError", "protocol"]
         assert all(upstream.inflight == 0 for upstream in router._upstreams)
     finally:
         await router.aclose()
@@ -398,6 +417,40 @@ async def test_router_leaves_room_for_the_upstream_id():
     finally:
         await router.aclose()
         await server.aclose()
+
+
+async def test_worker_reply_without_id_prefix_drops_the_worker():
+    """A worker reply that does not start with the server's compact
+    ``{"id":N,`` prefix breaks the protocol: the router drops that
+    upstream, and each relay still gets one ``upstream`` error under its
+    client id."""
+
+    async def rogue(reader, writer):
+        while line := await reader.readline():
+            writer.write(b'{"ok":true,"id":%d}\n' % json.loads(line)["id"])
+        writer.close()
+
+    worker = await asyncio.start_server(rogue, "127.0.0.1", 0)
+    router = await ClusterRouter().start([worker.sockets[0].getsockname()[:2]])
+    _, points = _server_store()
+    frames = [
+        json.dumps(
+            {"op": "login", "id": cid, "user": "alice", "points": _wire(points)}
+        ).encode()
+        for cid in ("first", "second")
+    ]
+    try:
+        lines = await _exchange(router.address, frames + [b'{"op":"stats","id":3}'])
+        replies = [json.loads(line) for line in lines]
+        assert [(r["id"], r["error"]) for r in replies] == [
+            ("first", "upstream"), ("second", "upstream"), (3, "upstream"),
+        ]
+        assert replies[0]["message"] == "worker 0 connection lost"
+        assert all(upstream.inflight == 0 for upstream in router._upstreams)
+    finally:
+        await router.aclose()
+        worker.close()
+        await worker.wait_closed()
 
 
 @pytest.mark.parametrize("door", DOORS)
