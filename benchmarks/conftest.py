@@ -96,6 +96,35 @@ def json_report(reports_dir):
     return _write
 
 
+@pytest.fixture(scope="session")
+def paired_rounds():
+    """Measure two sides back to back, round after round, order alternating.
+
+    ``paired_rounds(first, second, rounds)`` calls ``first()`` then
+    ``second()`` on even rounds and the reverse on odd ones, and returns
+    the ``(first(), second())`` result pair of every round.  Both sides of
+    a pair share the machine's weather, so a gate on the median per-round
+    ratio cancels the scheduler and frequency drift that an unpaired
+    best-of-N cannot; alternating the order cancels warm-cache ordering
+    effects.  Each side does its own setup and timing (the ratio gates
+    call ``gc.collect()`` right before starting their timers).
+    """
+
+    def _paired(first, second, rounds: int):
+        pairs = []
+        for index in range(rounds):
+            if index % 2 == 0:
+                a = first()
+                b = second()
+            else:
+                b = second()
+                a = first()
+            pairs.append((a, b))
+        return pairs
+
+    return _paired
+
+
 @pytest.fixture()
 def report(capsys, reports_dir):
     """Print an ExperimentResult's report uncaptured and archive it."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import itertools
 import os
 import statistics
 import time
@@ -218,7 +219,9 @@ def test_durable_serving_group_commit(tmp_path, reports_dir, capsys, json_report
     )
 
 
-def test_bulk_enrollment_speedup(tmp_path, reports_dir, capsys, json_report):
+def test_bulk_enrollment_speedup(
+    tmp_path, reports_dir, capsys, json_report, paired_rounds
+):
     """enroll_many ≥2x the create_account loop on sqlite, state identical."""
     accounts = _passwords(ENROLL_ACCOUNTS, prefix="enroll")
     scheme = CenteredDiscretization.for_pixel_tolerance(2, 9)
@@ -252,14 +255,14 @@ def test_bulk_enrollment_speedup(tmp_path, reports_dir, capsys, json_report):
     # Paired rounds, order alternating: each round times both paths back
     # to back on fresh files, so whichever runs first no longer pays the
     # process's warm-up alone, and the gate reads the median ratio.
+    tags = itertools.count()
+    pairs = paired_rounds(
+        lambda: bulk(f"bulk-{next(tags)}"),
+        lambda: loop(f"loop-{next(tags)}"),
+        ENROLL_ROUNDS,
+    )
     rounds = []
-    for index in range(ENROLL_ROUNDS):
-        if index % 2 == 0:
-            bulk_seconds, bulk_store = bulk(f"bulk-{index}")
-            loop_seconds, loop_store = loop(f"loop-{index}")
-        else:
-            loop_seconds, loop_store = loop(f"loop-{index}")
-            bulk_seconds, bulk_store = bulk(f"bulk-{index}")
+    for (bulk_seconds, bulk_store), (loop_seconds, loop_store) in pairs:
         # Identical persisted state: password file and initial throttles.
         assert bulk_store.backend.dump() == loop_store.backend.dump()
         for username in accounts:

@@ -103,7 +103,7 @@ def _flood_once(accounts, stream, registry, attempts=None):
     return report.throughput
 
 
-def _paired_rounds(accounts, stream):
+def _measure(accounts, stream, paired_rounds):
     """Paired measurement: both paths run back-to-back each round.
 
     Each round floods the baseline (``NULL_REGISTRY``) and the
@@ -115,22 +115,19 @@ def _paired_rounds(accounts, stream):
     """
     _flood_once(accounts, stream, NULL_REGISTRY, attempts=200)
     _flood_once(accounts, stream, MetricsRegistry(), attempts=200)
-    pairs = []
-    for round_index in range(ROUNDS):
-        if round_index % 2 == 0:
-            baseline = _flood_once(accounts, stream, NULL_REGISTRY)
-            instrumented = _flood_once(accounts, stream, MetricsRegistry())
-        else:
-            instrumented = _flood_once(accounts, stream, MetricsRegistry())
-            baseline = _flood_once(accounts, stream, NULL_REGISTRY)
-        pairs.append((baseline, instrumented))
-    return pairs
+    return paired_rounds(
+        lambda: _flood_once(accounts, stream, NULL_REGISTRY),
+        lambda: _flood_once(accounts, stream, MetricsRegistry()),
+        ROUNDS,
+    )
 
 
-def test_obs_overhead_gate(workload, reports_dir, capsys, json_report):
+def test_obs_overhead_gate(
+    workload, reports_dir, capsys, json_report, paired_rounds
+):
     """Instrumented serving >= 95% of the NULL_REGISTRY throughput."""
     accounts, stream = workload
-    pairs = _paired_rounds(accounts, stream)
+    pairs = _measure(accounts, stream, paired_rounds)
     ratios = [instrumented / baseline for baseline, instrumented in pairs]
     ratio = statistics.median(ratios)
     baseline = statistics.median(b for b, _ in pairs)

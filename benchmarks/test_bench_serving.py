@@ -19,12 +19,19 @@ Two client shapes are measured:
 The static-grid baseline is recorded at a 2x floor, mirroring
 ``test_bench_store.py``: its scalar ``locate`` is already one
 floor-divide, so the achievable ratio is structurally smaller.
+
+The ratio is measured in paired rounds, like ``test_bench_store.py``:
+each round times the scalar loop and the async floods back to back on
+fresh stores over the same stream (order alternating between rounds),
+and the gate reads the median of the per-round ratios.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
+import statistics
 import time
 
 import numpy as np
@@ -48,6 +55,9 @@ ATTEMPTS = 10_000
 ACCOUNTS = 25
 CLIENTS = 64
 GATED_WINDOW = 8
+WINDOWS = (1, GATED_WINDOW)
+#: Paired scalar/async rounds per scheme (order alternates).
+ROUNDS = 7
 
 #: (scheme, floor at the gated window).  See module docstring for static.
 SCHEMES = [
@@ -90,59 +100,87 @@ def _fresh_store(scheme, accounts):
     return store
 
 
-def _measure(scheme, accounts, stream):
-    """Scalar loop vs. async flood at window 1 and the gated window."""
-    scalar_store = _fresh_store(scheme, accounts)
+def _time_scalar(scheme, accounts, stream):
+    """Seconds of the scalar login loop over *stream*."""
+    store = _fresh_store(scheme, accounts)
+    # Both sides start their timers right after a full collection, so
+    # neither pays for a whole-heap collection the other's garbage owes.
+    gc.collect()
     start = time.perf_counter()
     for username, attempt in stream:
-        scalar_store.login(username, attempt)
-    scalar_seconds = time.perf_counter() - start
-
-    results = {}
-    for window in (1, GATED_WINDOW):
-        # Warm-up run (kernel dispatch + account material), then best-of-3
-        # to shield the ratio from scheduler noise.
-        service = AsyncVerificationService(_fresh_store(scheme, accounts))
-        asyncio.run(flood_service(service, stream[:200], clients=CLIENTS, window=window))
-        best = None
-        for _ in range(3):
-            service = AsyncVerificationService(
-                _fresh_store(scheme, accounts), max_batch=1024
-            )
-            report = asyncio.run(
-                flood_service(service, stream, clients=CLIENTS, window=window)
-            )
-            if best is None or report.seconds < best.seconds:
-                best = report
-        results[window] = best
-    return scalar_seconds, results
+        store.login(username, attempt)
+    return time.perf_counter() - start
 
 
-def test_async_serving_speedup(workload, reports_dir, capsys, json_report):
+def _flood(scheme, accounts, stream, window):
+    """One async flood over a fresh store, timed right after a collection."""
+    service = AsyncVerificationService(_fresh_store(scheme, accounts), max_batch=1024)
+    gc.collect()
+    return asyncio.run(flood_service(service, stream, clients=CLIENTS, window=window))
+
+
+def _measure(scheme, accounts, stream, paired_rounds):
+    """Paired rounds: ``(scalar seconds, {window: FloodReport})`` per round.
+
+    The async side floods every window in :data:`WINDOWS`; each flood
+    pairs with the same round's scalar timing.
+    """
+    for window in WINDOWS:  # warm the kernel dispatch and account material
+        _flood(scheme, accounts, stream[:200], window)
+    return paired_rounds(
+        lambda: _time_scalar(scheme, accounts, stream),
+        lambda: {window: _flood(scheme, accounts, stream, window) for window in WINDOWS},
+        ROUNDS,
+    )
+
+
+def test_async_serving_speedup(
+    workload, reports_dir, capsys, json_report, paired_rounds
+):
     """Async front-end >= 8x scalar login at 64 clients (centered+robust)."""
     accounts, stream = workload
     lines = [
         f"async serving throughput — {ATTEMPTS:,}-attempt mixed stream, "
-        f"{ACCOUNTS} accounts, {CLIENTS} concurrent clients",
+        f"{ACCOUNTS} accounts, {CLIENTS} concurrent clients, "
+        f"{ROUNDS} paired rounds (order alternating)",
         "",
         f"{'scheme':<10} {'window':>6} {'scalar s':>9} {'async s':>8} "
         f"{'speedup':>8} {'logins/s':>10} {'p50 ms':>7} {'p95 ms':>7} {'floor':>6}",
     ]
     gated = {}
+    ratios = {}
     for scheme, floor in SCHEMES:
-        scalar_seconds, results = _measure(scheme, accounts, stream)
-        for window, report in sorted(results.items()):
-            speedup = scalar_seconds / report.seconds
+        rounds = _measure(scheme, accounts, stream, paired_rounds)
+        scalar_seconds = statistics.median(scalar for scalar, _ in rounds)
+        for window in WINDOWS:
+            reports = [floods[window] for _, floods in rounds]
+            ratios[scheme.name, window] = [
+                scalar / floods[window].seconds for scalar, floods in rounds
+            ]
+            speedup = statistics.median(ratios[scheme.name, window])
             is_gated = window == GATED_WINDOW
             if is_gated:
                 gated[scheme.name] = (speedup, floor)
+            async_seconds = statistics.median(report.seconds for report in reports)
+            p50_ms = statistics.median(report.p50_ms for report in reports)
+            p95_ms = statistics.median(report.p95_ms for report in reports)
             lines.append(
                 f"{scheme.name:<10} {window:>6} {scalar_seconds:>9.3f} "
-                f"{report.seconds:>8.3f} {speedup:>7.1f}x "
-                f"{report.throughput:>10,.0f} {report.p50_ms:>7.2f} "
-                f"{report.p95_ms:>7.2f} "
+                f"{async_seconds:>8.3f} {speedup:>7.1f}x "
+                f"{ATTEMPTS / async_seconds:>10,.0f} {p50_ms:>7.2f} "
+                f"{p95_ms:>7.2f} "
                 f"{(f'{floor:.0f}x' if is_gated else '—'):>6}"
             )
+    lines += [
+        "",
+        "seconds, logins/s and latencies are per-side medians; speedup is",
+        "the median per-round ratio",
+    ]
+    lines += [
+        f"  {name} window={window} per-round ratios: "
+        + " ".join(f"{r:.1f}" for r in values)
+        for (name, window), values in ratios.items()
+    ]
     lines += [
         "",
         "window=1: fully closed-loop clients (batch size capped at the client",

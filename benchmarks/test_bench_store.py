@@ -127,7 +127,7 @@ def _time_batched(scheme, accounts, stream):
     return time.perf_counter() - start, [o.accepted for o in outcomes]
 
 
-def _measure(scheme, accounts, stream):
+def _measure(scheme, accounts, stream, paired_rounds):
     """Paired rounds: ``(scalar seconds, batched seconds)`` per round.
 
     Both sides run back to back each round, on fresh stores over the same
@@ -135,20 +135,21 @@ def _measure(scheme, accounts, stream):
     ordering effects.  Each round asserts identical decisions.
     """
     _time_batched(scheme, accounts, stream[:100])  # warm the kernel
+    pairs = paired_rounds(
+        lambda: _time_scalar(scheme, accounts, stream),
+        lambda: _time_batched(scheme, accounts, stream),
+        ROUNDS,
+    )
     rounds = []
-    for index in range(ROUNDS):
-        if index % 2 == 0:
-            scalar_seconds, scalar_decisions = _time_scalar(scheme, accounts, stream)
-            batch_seconds, batch_decisions = _time_batched(scheme, accounts, stream)
-        else:
-            batch_seconds, batch_decisions = _time_batched(scheme, accounts, stream)
-            scalar_seconds, scalar_decisions = _time_scalar(scheme, accounts, stream)
+    for (scalar_seconds, scalar_decisions), (batch_seconds, batch_decisions) in pairs:
         assert batch_decisions == scalar_decisions
         rounds.append((scalar_seconds, batch_seconds))
     return rounds
 
 
-def test_service_login_speedup(workload, reports_dir, capsys, json_report):
+def test_service_login_speedup(
+    workload, reports_dir, capsys, json_report, paired_rounds
+):
     """Batched service >= 10x over scalar login for centered and robust."""
     accounts, stream = workload
     lines = [
@@ -161,7 +162,7 @@ def test_service_login_speedup(workload, reports_dir, capsys, json_report):
     speedups = {}
     ratios = {}
     for scheme, floor in SCHEMES:
-        rounds = _measure(scheme, accounts, stream)
+        rounds = _measure(scheme, accounts, stream, paired_rounds)
         ratios[scheme.name] = [scalar / batch for scalar, batch in rounds]
         speedup = statistics.median(ratios[scheme.name])
         scalar_seconds = statistics.median(scalar for scalar, _ in rounds)

@@ -36,7 +36,7 @@ def online_attack_scenario() -> None:
         RobustDiscretization(2, 9),
     ):
         # The population enrolls once through the storage layer (memory:
-        # here; pass a sqlite:/jsonl: URI to persist and resume — see
+        # here; pass a sqlite:/shards: URI to persist and resume — see
         # examples/storage_backends.py).
         store = enrolled_store(scheme, image_name="cars", victims=40)
         victims = store.usernames

@@ -9,8 +9,8 @@ real subsystem:
    SQLite backend; reopening the same URI skips re-enrollment and keeps
    lockout state (a locked account stays locked across restarts).
 2. **The password file is an artifact** — ``dump()`` produces the same
-   JSON from every backend (memory / SQLite / append-only JSONL); we
-   steal it and grind it offline with popularity-ordered guesses.
+   JSON from every backend (memory / SQLite / sharded SQLite); we steal
+   it and grind it offline with popularity-ordered guesses.
 3. **Micro-batched serving** — a login flood goes through
    ``VerificationService``, which resolves the geometry of a whole batch
    in one vectorized kernel call while preserving per-account lockout
@@ -78,12 +78,12 @@ def steal_and_grind(workdir: Path, uri: str) -> None:
     payload = backend.dump()  # the theft — same JSON from any backend
     backend.close()
 
-    # The stolen artifact is backend-agnostic: replaying it into an
-    # append-only JSONL log yields a byte-identical password file.
-    log = backend_from_uri(f"jsonl:{workdir / 'stolen.jsonl'}")
-    log.load(payload)
-    assert log.dump() == payload
-    log.close()
+    # The stolen artifact is backend-agnostic: replaying it into a
+    # two-shard SQLite layout yields a byte-identical password file.
+    shards = backend_from_uri(f"shards:sqlite:{workdir / 'stolen'}{{0..1}}.db")
+    shards.load(payload)
+    assert shards.dump() == payload
+    shards.close()
 
     print("offline grind of stolen password files (300 guesses/record):")
     robust_store = enrolled_store(

@@ -301,7 +301,7 @@ def parse_password_file(payload: str) -> Dict[str, StoredPassword]:
     The payload is the JSON produced by
     :meth:`~repro.passwords.storage.StorageBackend.dump` /
     :meth:`~repro.passwords.store.PasswordStore.dump_records` — the
-    attacker-visible artifact, identical across memory/SQLite/JSONL
+    attacker-visible artifact, identical across memory/SQLite/sharded
     backends.
     """
     from repro.errors import ReproError

@@ -11,12 +11,11 @@ Subcommands:
   schemes;
 * ``repro attack`` — the §5.1 known-identifier dictionary attack on the
   simulated field study, sharded across worker processes (``--workers``);
-* ``repro store create/login/dump/compact/attack`` — operate a persistent
+* ``repro store create/login/dump/attack`` — operate a persistent
   password store on a backend URI (``memory:``, ``sqlite:PATH``,
-  ``jsonl:PATH``, ``shards:sqlite:PREFIX{0..N}.db``): enroll a simulated
-  population (resuming if already enrolled), run throttled logins, steal
-  the password file, compact a grown-forever JSONL log down to its live
-  state, and grind the stolen file offline;
+  ``shards:sqlite:PREFIX{0..N}.db``): enroll a simulated population
+  (resuming if already enrolled), run throttled logins, steal the password
+  file, and grind the stolen file offline;
 * ``repro serve`` — expose a store over TCP through the asyncio JSONL
   login protocol (micro-batched verification under the hood);
 * ``repro flood`` — self-hosted load generation: start a server on an
@@ -153,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     create_parser = store_sub.add_parser(
         "create", help="enroll a simulated population (resumes if present)"
     )
-    create_parser.add_argument("uri", help="backend URI (memory:, sqlite:PATH, jsonl:PATH)")
+    create_parser.add_argument(
+        "uri", help="backend URI (memory:, sqlite:PATH, shards:TEMPLATE)"
+    )
     create_parser.add_argument(
         "--scheme",
         choices=["centered", "robust", "static"],
@@ -197,18 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "dump", help="print the password file (what an attacker steals)"
     )
     dump_parser.add_argument("uri", help="backend URI")
-
-    compact_parser = store_sub.add_parser(
-        "compact",
-        help="rewrite a jsonl: append-only log to one event per live fact",
-    )
-    compact_parser.add_argument(
-        "uri",
-        help=(
-            "jsonl:PATH backend URI (a served log grows one throttle event "
-            "per login forever; compaction rewrites it to the live state)"
-        ),
-    )
 
     attack_parser = store_sub.add_parser(
         "attack", help="steal the password file and grind it offline"
@@ -659,39 +648,6 @@ def _cmd_store_dump(uri: str) -> int:
         print(backend.dump())
     finally:
         backend.close()
-    return 0
-
-
-def _cmd_store_compact(uri: str) -> int:
-    from repro.errors import ReproError
-    from repro.passwords.storage import JsonlBackend, backend_from_uri
-
-    try:
-        backend = backend_from_uri(uri)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(backend, JsonlBackend):
-        print(
-            f"error: store compact only applies to jsonl: backends "
-            f"(append-only logs), not {backend.uri}",
-            file=sys.stderr,
-        )
-        backend.close()
-        return 2
-    try:
-        before, after = backend.compact()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        backend.close()
-    saved = before - after
-    percent = (saved / before * 100.0) if before else 0.0
-    print(
-        f"{backend.uri}: compacted {before:,} -> {after:,} bytes "
-        f"(saved {saved:,}, {percent:.1f}%; {len(backend)} live accounts)"
-    )
     return 0
 
 
@@ -1218,8 +1174,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_store_login(args.uri, args.user, args.points)
         if args.store_command == "dump":
             return _cmd_store_dump(args.uri)
-        if args.store_command == "compact":
-            return _cmd_store_compact(args.uri)
         if args.store_command == "attack":
             return _cmd_store_attack(
                 args.uri,

@@ -120,7 +120,7 @@ def enrolled_store(
 
     Accounts are named ``user<password_id>`` after the dataset passwords on
     *image_name*.  Accounts already present in the backend (a reopened
-    ``sqlite:``/``jsonl:`` URI) are kept as-is — enrollment cost is paid
+    ``sqlite:``/``shards:`` URI) are kept as-is — enrollment cost is paid
     once per backend, and repeated attack/experiment runs share the same
     enrolled population, lockout state included.
     """

@@ -21,7 +21,6 @@ from repro.passwords.service import LoginOutcome, VerificationService
 from repro.passwords.space3d import ClickSpace3D, Space3DSystem, space3d_password_bits
 from repro.passwords.storage import (
     ConsistentHashRing,
-    JsonlBackend,
     MemoryBackend,
     ShardedBackend,
     SQLiteBackend,
@@ -44,7 +43,6 @@ __all__ = [
     "ClickSpace3D",
     "ConsistentHashRing",
     "DefenseConfig",
-    "JsonlBackend",
     "LockoutPolicy",
     "LoginOutcome",
     "MemoryBackend",

@@ -9,32 +9,30 @@ real, swappable subsystem: a :class:`StorageBackend` holds, per account,
 * the account's throttle state (§5.1 lockout counters), persisted so that
   lockout survives a process restart.
 
-Four implementations ship:
+Three implementations ship:
 
 * :class:`MemoryBackend` — the original in-process dict (tests, simulations);
 * :class:`SQLiteBackend` — a durable single-file database in WAL journal
   mode, so enrolled populations survive across attack/experiment runs and
   concurrent readers (attack grinds against a live store) never block the
   login writer;
-* :class:`JsonlBackend` — an append-only JSON-lines log replayed at open,
-  the "flat password file" deployment shape;
 * :class:`ShardedBackend` — a consistent-hash router spreading usernames
   across N child backends, the multi-process serving shape.
 
 Backends are addressed by URI — ``memory:``, ``sqlite:PATH``,
-``jsonl:PATH``, ``shards:CHILD{A..B}`` — via :func:`backend_from_uri`; the
-CLI ``repro store`` / ``repro serve`` / ``repro flood`` subcommands operate
-on these URIs.
+``shards:CHILD{A..B}`` — via :func:`backend_from_uri`; the CLI ``repro
+store`` / ``repro serve`` / ``repro flood`` subcommands operate on these
+URIs.
 
 Every backend also speaks the **group-commit** protocol —
 :meth:`~StorageBackend.put_many`, :meth:`~StorageBackend.put_throttle_many`
 and the :meth:`~StorageBackend.write_batch` context — which coalesces many
-writes into one durable commit (one SQLite transaction, one buffered JSONL
-write + flush, a per-ring-slice fan-out for shards).  The serving hot
-paths (``VerificationService.flush`` throttle persists, bulk enrollment)
-ride this protocol; :func:`commit_mode` / ``$REPRO_STORE_COMMIT`` can
-force them back to one commit per record, which is what the durable
-benchmark compares against.  A backend's :meth:`~StorageBackend.dump` is the portable
+writes into one durable commit (one SQLite transaction, a per-ring-slice
+fan-out for shards).  The serving hot paths (``VerificationService.flush``
+throttle persists, bulk enrollment) ride this protocol;
+:func:`commit_mode` / ``$REPRO_STORE_COMMIT`` can force them back to one
+commit per record, which is what the durable benchmark compares against.
+A backend's :meth:`~StorageBackend.dump` is the portable
 password-file artifact (same JSON for every backend, shards merged): the
 offline attacks in :mod:`repro.attacks.offline` consume it directly, so
 stealing a sharded deployment still yields one file.
@@ -51,7 +49,6 @@ import json
 import os
 import re
 import sqlite3
-import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
@@ -61,7 +58,6 @@ __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "SQLiteBackend",
-    "JsonlBackend",
     "ShardedBackend",
     "backend_from_uri",
     "commit_mode",
@@ -164,9 +160,9 @@ class StorageBackend(abc.ABC):
 
         Equivalent to calling :meth:`put` per pair — same final state,
         same read-back bytes — but durable backends coalesce the batch
-        into a single commit (one SQLite transaction, one buffered JSONL
-        write + flush).  This base implementation loops per-record, so
-        minimal third-party backends keep working unchanged.
+        into a single commit (one SQLite transaction).  This base
+        implementation loops per-record, so minimal third-party backends
+        keep working unchanged.
         """
         for username, stored in items:
             self.put(username, stored)
@@ -190,9 +186,9 @@ class StorageBackend(abc.ABC):
         and the ``*_many`` bulk forms — is deferred into a single commit
         applied at successful exit.  Atomicity on failure is per-backend
         (see each implementation's docstring and the batching-contract
-        table in ``docs/architecture.md``): SQLite and JSONL roll the
-        whole batch back, memory applies writes immediately, a sharded
-        batch is atomic per shard only.  Reads of a single account
+        table in ``docs/architecture.md``): SQLite rolls the whole batch
+        back, memory applies writes immediately, a sharded batch is
+        atomic per shard only.  Reads of a single account
         (``get`` / ``get_throttle`` / ``get_meta``) observe the batch's
         own writes; population scans may not until it commits.
 
@@ -230,7 +226,7 @@ class StorageBackend(abc.ABC):
         material, digests, salts and hashing parameters — no throttle
         state and, of course, no click-points.  The format is identical
         across backends, so a population enrolled into SQLite can be
-        attacked from a JSONL steal and vice versa.
+        attacked from a steal of a sharded deployment and vice versa.
         """
         payload = {
             username: stored.to_json() for username, stored in self.iter_records()
@@ -584,316 +580,6 @@ class SQLiteBackend(StorageBackend):
         self._conn.close()
 
 
-class JsonlBackend(StorageBackend):
-    """Append-only JSON-lines event log, replayed into memory at open.
-
-    Every mutation appends one event line — ``put``, ``delete``,
-    ``throttle``, ``meta``, ``clear`` — and flushes, so the file on disk
-    is always a valid history and the latest state is recovered by a
-    linear replay.  This is the "flat password file" deployment shape,
-    and doubles as an audit log of the account lifecycle.
-
-    Group commit: :meth:`put_many` / :meth:`put_throttle_many` buffer
-    their event lines and issue **one** multi-line write + one flush;
-    :meth:`write_batch` extends that to mixed writes, and keeps an undo
-    log so an exception inside the batch restores the in-memory state
-    and writes nothing — the log never diverges from memory.  Because a
-    log grows one event per mutation forever, :meth:`compact` rewrites
-    it down to one event per live fact.
-    """
-
-    #: Live instances per absolute log path — the refuse-on-live-handle
-    #: guard :meth:`compact` checks before swapping the file out from
-    #: under a concurrent writer.  Weak references, so leaked (never
-    #: closed, garbage-collected) backends do not pin the guard forever.
-    _open_logs: Dict[str, "weakref.WeakSet"] = {}
-
-    def __init__(self, path: str) -> None:
-        self._path = str(path)
-        self.uri = f"jsonl:{self._path}"
-        self._records: Dict[str, StoredPassword] = {}
-        self._throttles: Dict[str, dict] = {}
-        self._meta: Dict[str, str] = {}
-        self._buffer: Optional[List[str]] = None
-        self._undo: List[tuple] = []
-        if os.path.exists(self._path):
-            self._replay()
-        self._handle = open(self._path, "a", encoding="utf-8")
-        self._abspath = os.path.abspath(self._path)
-        self._open_logs.setdefault(self._abspath, weakref.WeakSet()).add(self)
-
-    @property
-    def path(self) -> str:
-        """Filesystem location of the log."""
-        return self._path
-
-    def _replay(self) -> None:
-        with open(self._path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                    self._apply(event)
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise StoreError(
-                        f"{self._path}:{line_number}: malformed log event: {exc}"
-                    ) from exc
-
-    def _apply(self, event: dict) -> None:
-        op = event["op"]
-        if op == "put":
-            self._records[event["username"]] = StoredPassword.from_json(
-                event["record"]
-            )
-        elif op == "delete":
-            self._records.pop(event["username"], None)
-            self._throttles.pop(event["username"], None)
-        elif op == "throttle":
-            self._throttles[event["username"]] = event["state"]
-        elif op == "meta":
-            self._meta[event["key"]] = event["value"]
-        elif op == "clear":
-            self._records.clear()
-            self._throttles.clear()
-        else:
-            raise StoreError(f"unknown log op {op!r}")
-
-    def _emit(self, events: Sequence[dict]) -> None:
-        """Write *events* as one buffered multi-line write + one flush.
-
-        Inside an open :meth:`write_batch` the lines are deferred into
-        the batch buffer instead, to be written at commit.
-        """
-        lines = [json.dumps(event, sort_keys=True) + "\n" for event in events]
-        if self._buffer is not None:
-            self._buffer.extend(lines)
-            return
-        self._handle.write("".join(lines))
-        self._handle.flush()
-
-    def _append(self, event: dict) -> None:
-        self._emit((event,))
-
-    def _note_record(self, username: str) -> None:
-        """Record the undo entry for an imminent record mutation."""
-        if self._buffer is not None:
-            self._undo.append(("record", username, self._records.get(username)))
-
-    def _note_throttle(self, username: str) -> None:
-        """Record the undo entry for an imminent throttle mutation."""
-        if self._buffer is not None:
-            self._undo.append(("throttle", username, self._throttles.get(username)))
-
-    def put(self, username: str, stored: StoredPassword) -> None:
-        """Insert or replace the record for *username* (appended + flushed)."""
-        self._note_record(username)
-        self._records[username] = stored
-        self._append({"op": "put", "username": username, "record": stored.to_json()})
-
-    def put_many(self, items: Iterable[Tuple[str, StoredPassword]]) -> None:
-        """Insert or replace many records: one buffered write, one flush."""
-        events = []
-        for username, stored in items:
-            self._note_record(username)
-            self._records[username] = stored
-            events.append(
-                {"op": "put", "username": username, "record": stored.to_json()}
-            )
-        if events:
-            self._emit(events)
-
-    def get(self, username: str) -> Optional[StoredPassword]:
-        """The record for *username*, or ``None`` when unknown."""
-        return self._records.get(username)
-
-    def delete(self, username: str) -> None:
-        """Remove an account (a ``delete`` event; the log keeps history)."""
-        if username not in self._records:
-            raise StoreError(f"unknown account {username!r}")
-        self._note_record(username)
-        self._note_throttle(username)
-        del self._records[username]
-        self._throttles.pop(username, None)
-        self._append({"op": "delete", "username": username})
-
-    def usernames(self) -> Tuple[str, ...]:
-        """All account names, sorted."""
-        return tuple(sorted(self._records))
-
-    def clear(self) -> None:
-        """Drop every record and all throttle state (a ``clear`` event)."""
-        if self._buffer is not None:
-            self._undo.append(
-                ("snapshot", dict(self._records), dict(self._throttles))
-            )
-        self._records.clear()
-        self._throttles.clear()
-        self._append({"op": "clear"})
-
-    def put_throttle(self, username: str, state: dict) -> None:
-        """Persist an account's throttle state (appended + flushed)."""
-        self._note_throttle(username)
-        self._throttles[username] = dict(state)
-        self._append({"op": "throttle", "username": username, "state": dict(state)})
-
-    def put_throttle_many(self, items: Iterable[Tuple[str, dict]]) -> None:
-        """Persist many throttle states: one buffered write, one flush."""
-        events = []
-        for username, state in items:
-            self._note_throttle(username)
-            state = dict(state)
-            self._throttles[username] = state
-            events.append({"op": "throttle", "username": username, "state": state})
-        if events:
-            self._emit(events)
-
-    def get_throttle(self, username: str) -> Optional[dict]:
-        """The persisted throttle state, or ``None``."""
-        state = self._throttles.get(username)
-        return dict(state) if state is not None else None
-
-    def put_meta(self, key: str, value: str) -> None:
-        """Persist one metadata string (appended + flushed)."""
-        if self._buffer is not None:
-            self._undo.append(("meta", key, self._meta.get(key)))
-        self._meta[key] = value
-        self._append({"op": "meta", "key": key, "value": value})
-
-    def get_meta(self, key: str) -> Optional[str]:
-        """Read one metadata string, or ``None``."""
-        return self._meta.get(key)
-
-    def meta_items(self) -> Tuple[Tuple[str, str], ...]:
-        """All persisted metadata pairs, sorted by key."""
-        return tuple(sorted(self._meta.items()))
-
-    def _rollback(self, undo: Sequence[tuple]) -> None:
-        """Rewind the in-memory state of an abandoned :meth:`write_batch`."""
-        for entry in reversed(undo):
-            kind = entry[0]
-            if kind == "record":
-                _, username, previous = entry
-                if previous is None:
-                    self._records.pop(username, None)
-                else:
-                    self._records[username] = previous
-            elif kind == "throttle":
-                _, username, previous = entry
-                if previous is None:
-                    self._throttles.pop(username, None)
-                else:
-                    self._throttles[username] = previous
-            elif kind == "meta":
-                _, key, previous = entry
-                if previous is None:
-                    self._meta.pop(key, None)
-                else:
-                    self._meta[key] = previous
-            else:  # snapshot (clear inside a batch)
-                _, records, throttles = entry
-                self._records = records
-                self._throttles = throttles
-
-    @contextlib.contextmanager
-    def write_batch(self) -> Iterator["JsonlBackend"]:
-        """Defer every enclosed event into one multi-line write + flush.
-
-        On success the buffered lines hit the log in one write; on
-        failure *nothing* is written and the in-memory dicts are rewound
-        through the undo log, so replaying the file still reconstructs
-        exactly the live state.  Nested batches join the outer one.
-        """
-        if self._buffer is not None:
-            yield self
-            return
-        self._buffer = []
-        self._undo = []
-        try:
-            yield self
-        except BaseException:
-            self._buffer = None
-            self._rollback(self._undo)
-            self._undo = []
-            raise
-        buffer, self._buffer = self._buffer, None
-        self._undo = []
-        if buffer:
-            self._handle.write("".join(buffer))
-            self._handle.flush()
-
-    def compact(self) -> Tuple[int, int]:
-        """Rewrite the append-only log to one event per live fact.
-
-        A served log accrues one ``throttle`` event per login forever;
-        compaction rewrites it to the current state — every ``meta``
-        pair, then one ``put`` and (when present) one ``throttle`` event
-        per live account, in sorted order — via an atomic
-        ``os.replace`` of a sibling temp file.  Returns ``(before,
-        after)`` sizes in bytes.
-
-        Refuses (:class:`~repro.errors.StoreError`) while a write batch
-        is open or while any *other* live :class:`JsonlBackend` in this
-        process holds the same log open — swapping the inode under a
-        concurrent writer would silently fork the history.
-        """
-        if self._buffer is not None:
-            raise StoreError(
-                f"cannot compact {self._path!r} inside an open write_batch"
-            )
-        others = [
-            backend
-            for backend in self._open_logs.get(self._abspath, ())
-            if backend is not self
-        ]
-        if others:
-            raise StoreError(
-                f"refusing to compact {self._path!r}: "
-                f"{len(others)} other live handle(s) hold this log open"
-            )
-        self._handle.flush()
-        before = os.path.getsize(self._path)
-        events: List[dict] = [
-            {"op": "meta", "key": key, "value": value}
-            for key, value in sorted(self._meta.items())
-        ]
-        for username in sorted(self._records):
-            events.append(
-                {
-                    "op": "put",
-                    "username": username,
-                    "record": self._records[username].to_json(),
-                }
-            )
-        for username in sorted(self._throttles):
-            events.append(
-                {
-                    "op": "throttle",
-                    "username": username,
-                    "state": self._throttles[username],
-                }
-            )
-        temp_path = self._path + ".compact"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(
-                "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._handle.close()
-        os.replace(temp_path, self._path)
-        self._handle = open(self._path, "a", encoding="utf-8")
-        return before, os.path.getsize(self._path)
-
-    def close(self) -> None:
-        """Close the log file handle (and drop the live-handle guard entry)."""
-        open_set = self._open_logs.get(self._abspath)
-        if open_set is not None:
-            open_set.discard(self)
-        self._handle.close()
-
-
 def _ring_position(key: str) -> int:
     """Deterministic 64-bit position of *key* on the consistent-hash ring.
 
@@ -1096,8 +782,8 @@ class ShardedBackend(StorageBackend):
 
 
 #: Accounts moved per batched commit while rebalancing between layouts —
-#: bounds both the destination's transaction size and the JSONL batch
-#: buffer, so migrating 10⁶ accounts never builds a 10⁶-line buffer.
+#: bounds the destination's transaction size, so migrating 10⁶ accounts
+#: never builds one 10⁶-row transaction.
 REBALANCE_CHUNK = 1_024
 
 
@@ -1176,7 +862,7 @@ def backend_from_uri(uri: str) -> StorageBackend:
     """Construct a backend from a ``scheme:location`` URI.
 
     Supported schemes: ``memory:`` (location ignored), ``sqlite:PATH``,
-    ``jsonl:PATH``, and ``shards:TEMPLATE`` where TEMPLATE is any other
+    and ``shards:TEMPLATE`` where TEMPLATE is any other
     backend URI containing one ``{A..B}`` range — e.g.
     ``shards:sqlite:/tmp/s{0..3}.db`` routes usernames across four SQLite
     files by consistent hashing.
@@ -1191,10 +877,6 @@ def backend_from_uri(uri: str) -> StorageBackend:
         if not location:
             raise StoreError(f"sqlite backend needs a path: {uri!r}")
         return SQLiteBackend(location)
-    if scheme == "jsonl":
-        if not location:
-            raise StoreError(f"jsonl backend needs a path: {uri!r}")
-        return JsonlBackend(location)
     if scheme == "shards":
         if not location:
             raise StoreError(f"shards backend needs a child template: {uri!r}")
@@ -1202,5 +884,5 @@ def backend_from_uri(uri: str) -> StorageBackend:
         return ShardedBackend(children, uri=uri)
     raise StoreError(
         f"unknown storage backend URI {uri!r} "
-        "(expected memory:, sqlite:PATH, jsonl:PATH, or shards:TEMPLATE)"
+        "(expected memory:, sqlite:PATH, or shards:TEMPLATE)"
     )

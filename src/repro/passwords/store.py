@@ -13,7 +13,7 @@ The store is scheme-agnostic: it is constructed around a
 ``enroll``/``verify`` and ``with_salt``), and storage-agnostic: records and
 throttle state live in a pluggable
 :class:`~repro.passwords.storage.StorageBackend` (in-memory dict, durable
-SQLite, or append-only JSONL log), so enrolled populations can survive
+SQLite, or shards over either), so enrolled populations can survive
 across attack/experiment runs.  The batched counterpart of :meth:`login`
 is :class:`~repro.passwords.service.VerificationService`.
 """
@@ -102,11 +102,11 @@ class PasswordStore:
         Online throttling policy applied to every account.
     backend:
         Where records and throttle state live (default: in-memory dict).
-        Pass a :class:`~repro.passwords.storage.SQLiteBackend` or
-        :class:`~repro.passwords.storage.JsonlBackend` — or anything from
-        :func:`~repro.passwords.storage.backend_from_uri` — for a store
-        that survives the process; accounts already present in a reopened
-        backend are served immediately, lockout state included.
+        Pass a :class:`~repro.passwords.storage.SQLiteBackend` — or
+        anything from :func:`~repro.passwords.storage.backend_from_uri` —
+        for a store that survives the process; accounts already present
+        in a reopened backend are served immediately, lockout state
+        included.
     """
 
     system: PassPointsSystem
@@ -137,7 +137,7 @@ class PasswordStore:
     # In-process caches over the backend.  The store assumes it is the
     # sole writer of its backend while open (same assumption the
     # throttle cache already makes); durable backends are re-read only
-    # on first access after open, so a login flood against SQLite/JSONL
+    # on first access after open, so a login flood against SQLite
     # does not re-parse records per attempt.
     _throttles: Dict[str, AccountThrottle] = field(default_factory=dict)
     _record_cache: Dict[str, StoredPassword] = field(default_factory=dict)
@@ -370,12 +370,12 @@ class PasswordStore:
 
         The batched counterpart of :meth:`_persist_throttle`: one
         :meth:`~repro.passwords.storage.StorageBackend.put_throttle_many`
-        call (one SQLite transaction / one JSONL write) instead of one
-        commit per account.  The in-memory throttle objects are
-        authoritative — this only batches durability, which is why
-        :meth:`~repro.passwords.service.VerificationService.flush` can
-        defer all of a flush's persists to its end without changing a
-        single decision.
+        call (one SQLite transaction, one per owning shard when sharded)
+        instead of one commit per account.  The in-memory throttle
+        objects are authoritative — this only batches durability, which
+        is why :meth:`~repro.passwords.service.VerificationService.flush`
+        can defer all of a flush's persists to its end without changing
+        a single decision.
         """
         items = [
             (username, self.throttle_for(username).state())

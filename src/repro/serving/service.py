@@ -331,10 +331,11 @@ class AsyncVerificationService:
 
         Futures are resolved positionally against the sync service's
         submission-order outcome list.  A failure inside the batched
-        decision (which per-request validation should have made
-        impossible) is propagated to every parked caller rather than
-        swallowed.  *trigger* (``"size"`` / ``"deadline"`` / ``"drain"``)
-        only feeds telemetry.
+        decision or its throttle commit (say, SQLite's ``database is
+        locked``) is propagated to every parked caller rather than
+        swallowed; the throttles the flush already updated in memory keep
+        their counted failures.  *trigger* (``"size"`` / ``"deadline"`` /
+        ``"drain"``) only feeds telemetry.
         """
         if self._flush_handle is not None:
             self._flush_handle.cancel()
@@ -355,7 +356,7 @@ class AsyncVerificationService:
         )
         try:
             outcomes = self._service.flush()
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             for future, _ in waiters:
                 if not future.done():
                     future.set_exception(exc)

@@ -91,37 +91,6 @@ class TestStore:
         assert "stolen file" in out
         assert "cracked" in out
 
-    def test_jsonl_backend_roundtrip(self, tmp_path, capsys):
-        uri = f"jsonl:{tmp_path / 'store.jsonl'}"
-        assert main(["store", "create", uri, "--users", "2", "--scheme", "robust"]) == 0
-        capsys.readouterr()
-        assert main(["store", "dump", uri]) == 0
-        assert len(json.loads(capsys.readouterr().out)) == 2
-
-    def test_compact_jsonl_store(self, tmp_path, capsys):
-        uri = f"jsonl:{tmp_path / 'store.jsonl'}"
-        assert main(["store", "create", uri, "--users", "3"]) == 0
-        capsys.readouterr()
-        # Grow the log with superseded throttle events, then compact.
-        points = "40,50;100,90;160,130;220,170;280,210"
-        for _ in range(4):
-            main(["store", "login", uri, "--user", "user0", "--points", points])
-        capsys.readouterr()
-        assert main(["store", "compact", uri]) == 0
-        out = capsys.readouterr().out
-        assert "compacted" in out
-        assert "3 live accounts" in out
-        # The compacted store still serves: dump and login both work.
-        assert main(["store", "dump", uri]) == 0
-        assert len(json.loads(capsys.readouterr().out)) == 3
-
-    def test_compact_refuses_non_jsonl_backends(self, tmp_path, capsys):
-        uri = f"sqlite:{tmp_path / 'store.db'}"
-        assert main(["store", "create", uri, "--users", "1"]) == 0
-        capsys.readouterr()
-        assert main(["store", "compact", uri]) == 2
-        assert "jsonl" in capsys.readouterr().err
-
     def test_recreate_with_mismatched_deployment_refused(self, tmp_path, capsys):
         uri = f"sqlite:{tmp_path / 'store.db'}"
         assert main(["store", "create", uri, "--users", "1"]) == 0

@@ -5,17 +5,14 @@ The batched write path — ``put_many`` / ``put_throttle_many`` /
 — is a pure durability optimization: for any attempt stream it must
 produce the identical accept/reject/lockout sequence, identical persisted
 throttle state, and byte-identical ``dump()`` password files as the
-historical per-record-commit path, across all three schemes and all four
+historical per-record-commit path, across all three schemes and all three
 backends.  On top of the equivalence property this file pins the
-per-backend atomicity contracts (SQLite all-or-nothing rollback, JSONL
-undo-log rewind + replay consistency, sharded per-shard atomicity), the
-JSONL ``compact()`` rewrite, ``enroll_many`` validation, and the
-base-class fallbacks a minimal third-party backend inherits.
+per-backend atomicity contracts (SQLite all-or-nothing rollback, sharded
+per-shard atomicity), ``enroll_many`` validation, and the base-class
+fallbacks a minimal third-party backend inherits.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -29,7 +26,6 @@ from repro.passwords.passpoints import PassPointsSystem
 from repro.passwords.policy import LockoutPolicy
 from repro.passwords.service import VerificationService
 from repro.passwords.storage import (
-    JsonlBackend,
     SQLiteBackend,
     StorageBackend,
     backend_from_uri,
@@ -45,7 +41,7 @@ SCHEMES = {
     "static": lambda: StaticGridScheme(dim=2, cell_size=19),
 }
 
-BACKENDS = ["memory", "sqlite", "jsonl", "shards"]
+BACKENDS = ["memory", "sqlite", "shards"]
 
 POINTS = [
     Point.xy(42, 61),
@@ -65,7 +61,7 @@ def make_backend(kind: str, tmp_path, tag: str):
         return backend_from_uri(
             f"shards:sqlite:{tmp_path / f'{tag}-shard'}{{0..2}}.db"
         )
-    return backend_from_uri(f"jsonl:{tmp_path / f'{tag}.jsonl'}")
+    raise ValueError(kind)
 
 
 def random_password(rng, image):
@@ -233,142 +229,6 @@ class TestSQLiteAtomicity:
             # The inner exit must not commit: still invisible to snapshots.
             assert backend.usernames() == ()
         assert backend.usernames() == ("a", "b")
-        backend.close()
-
-
-class TestJsonlAtomicity:
-    def _record(self, shift=0):
-        scheme = CenteredDiscretization.for_pixel_tolerance(2, 9)
-        return enroll_password(
-            scheme, [Point.xy(int(p.x) + shift, int(p.y)) for p in POINTS]
-        )
-
-    def test_nothing_hits_the_log_until_commit(self, tmp_path):
-        path = tmp_path / "defer.jsonl"
-        backend = JsonlBackend(str(path))
-        backend.put("alice", self._record())
-        before = path.read_text()
-        with backend.write_batch():
-            backend.put("bob", self._record(7))
-            backend.put_throttle("bob", {"failures": 0, "locked": False})
-            assert path.read_text() == before  # deferred, not written
-        after = path.read_text()
-        assert after != before
-        assert len(after.splitlines()) == len(before.splitlines()) + 2
-        backend.close()
-
-    def test_failed_batch_rewinds_memory_and_writes_nothing(self, tmp_path):
-        path = tmp_path / "rollback.jsonl"
-        backend = JsonlBackend(str(path))
-        original = self._record()
-        backend.put("alice", original)
-        backend.put_throttle("alice", {"failures": 2, "locked": False})
-        backend.put_meta("scheme", "centered")
-        before = path.read_text()
-        with pytest.raises(RuntimeError):
-            with backend.write_batch():
-                backend.put("alice", self._record(5))  # overwrite
-                backend.put("bob", self._record(9))  # insert
-                backend.delete("alice")
-                backend.put_throttle("bob", {"failures": 7, "locked": True})
-                backend.put_meta("scheme", "robust")
-                backend.clear()
-                backend.put("carol", self._record(11))
-                raise RuntimeError("abort")
-        # In-memory state rewound exactly...
-        assert path.read_text() == before
-        assert backend.usernames() == ("alice",)
-        assert backend.get("alice") == original
-        assert backend.get_throttle("alice") == {"failures": 2, "locked": False}
-        assert backend.get_meta("scheme") == "centered"
-        backend.close()
-        # ...and the untouched log still replays to the same state.
-        replayed = JsonlBackend(str(path))
-        assert replayed.usernames() == ("alice",)
-        assert replayed.get("alice") == original
-        assert replayed.get_throttle("alice") == {"failures": 2, "locked": False}
-        replayed.close()
-
-    def test_successful_batch_replays_identically(self, tmp_path):
-        path = tmp_path / "commit.jsonl"
-        backend = JsonlBackend(str(path))
-        with backend.write_batch():
-            backend.put_many([(f"user{i}", self._record(i)) for i in range(4)])
-            backend.delete("user3")
-            backend.put_throttle_many([("user0", {"failures": 1})])
-        live = (backend.usernames(), backend.get_throttle("user0"))
-        backend.close()
-        replayed = JsonlBackend(str(path))
-        assert (replayed.usernames(), replayed.get_throttle("user0")) == live
-        replayed.close()
-
-
-class TestJsonlCompact:
-    def _grown_backend(self, tmp_path):
-        """A log grown the way serving grows it: throttle churn forever."""
-        backend = JsonlBackend(str(tmp_path / "grown.jsonl"))
-        scheme = CenteredDiscretization.for_pixel_tolerance(2, 9)
-        backend.put_meta("scheme", "centered")
-        for i in range(4):
-            backend.put(
-                f"user{i}",
-                enroll_password(
-                    scheme, [Point.xy(int(p.x) + i, int(p.y)) for p in POINTS]
-                ),
-            )
-        for round_ in range(30):  # 120 superseded throttle events
-            for i in range(4):
-                backend.put_throttle(
-                    f"user{i}", {"failures": round_ % 3, "locked": False}
-                )
-        return backend
-
-    def test_compact_shrinks_and_preserves_state(self, tmp_path):
-        backend = self._grown_backend(tmp_path)
-        state = (
-            backend.usernames(),
-            backend.dump(),
-            {u: backend.get_throttle(u) for u in backend.usernames()},
-            backend.meta_items(),
-        )
-        before, after = backend.compact()
-        assert after < before
-        # One line per live fact: 1 meta + 4 puts + 4 throttles.
-        with open(backend._path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        assert len(lines) == 9
-        for line in lines:
-            json.loads(line)  # every surviving line is one valid event
-        assert (
-            backend.usernames(),
-            backend.dump(),
-            {u: backend.get_throttle(u) for u in backend.usernames()},
-            backend.meta_items(),
-        ) == state
-        # The handle survives the inode swap: post-compact writes land.
-        backend.put_throttle("user0", {"failures": 9, "locked": False})
-        backend.close()
-        replayed = JsonlBackend(str(tmp_path / "grown.jsonl"))
-        assert replayed.usernames() == state[0]
-        assert replayed.dump() == state[1]
-        assert replayed.get_throttle("user0") == {"failures": 9, "locked": False}
-        replayed.close()
-
-    def test_refuses_while_another_handle_is_open(self, tmp_path):
-        backend = self._grown_backend(tmp_path)
-        other = JsonlBackend(str(tmp_path / "grown.jsonl"))
-        with pytest.raises(StoreError, match="live handle"):
-            backend.compact()
-        other.close()
-        before, after = backend.compact()  # closing the rival unblocks it
-        assert after < before
-        backend.close()
-
-    def test_refuses_inside_open_write_batch(self, tmp_path):
-        backend = self._grown_backend(tmp_path)
-        with backend.write_batch():
-            with pytest.raises(StoreError, match="write_batch"):
-                backend.compact()
         backend.close()
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import sqlite3
 
 import numpy as np
 import pytest
@@ -310,6 +311,55 @@ async def test_drain_decides_pending(tmp_path):
     await service.drain()
     assert future.done() and future.result().status == "accept"
     assert service.pending_count == 0
+
+
+async def test_failed_commit_fails_every_parked_caller(tmp_path, monkeypatch):
+    """A flush whose throttle commit raises fails all of its callers.
+
+    The in-memory throttle keeps the failure it already counted (a
+    counted failure is never uncounted), and the next flush decides and
+    persists normally.
+    """
+    backend = backend_from_uri(f"sqlite:{tmp_path / 'locked.db'}")
+    store = build_store("centered", backend, LockoutPolicy(max_failures=3))
+    points = [Point.xy(40 + 60 * i, 50 + 40 * i) for i in range(5)]
+    wrong = [Point.xy(int(p.x) + 30, int(p.y) + 30) for p in points]
+    store.create_account("alice", points)
+    store.create_account("bob", points)
+    commit = backend.put_throttle_many
+    commits = []
+
+    def locked_once(items):
+        commits.append(list(items))
+        if len(commits) == 1:
+            raise sqlite3.OperationalError("database is locked")
+        commit(commits[-1])
+
+    monkeypatch.setattr(backend, "put_throttle_many", locked_once)
+    service = AsyncVerificationService(store, max_batch=1000)
+    results = await asyncio.gather(
+        service.submit("alice", wrong),
+        service.submit_many([("bob", wrong), ("bob", points)]),
+        return_exceptions=True,
+    )
+    assert len(commits) == 1
+    for result in results:
+        assert isinstance(result, sqlite3.OperationalError)
+        assert str(result) == "database is locked"
+    assert service.stats.flushes == 1
+    assert service.stats.decided == 0
+    assert service.pending_count == 0
+    assert store.throttle_for("alice").failures == 1
+
+    outcomes = await asyncio.gather(
+        service.submit("alice", wrong), service.submit("bob", points)
+    )
+    assert [o.status for o in outcomes] == ["reject", "accept"]
+    assert len(commits) == 2
+    assert store.throttle_for("alice").failures == 2
+    assert backend.get_throttle("alice")["failures"] == 2
+    assert service.stats.decided == 2
+    backend.close()
 
 
 def test_flush_interval_validated(tmp_path):

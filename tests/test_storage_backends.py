@@ -23,7 +23,6 @@ from repro.geometry.point import Point
 from repro.passwords.passpoints import PassPointsSystem
 from repro.passwords.policy import AccountThrottle, LockoutPolicy
 from repro.passwords.storage import (
-    JsonlBackend,
     MemoryBackend,
     ShardedBackend,
     SQLiteBackend,
@@ -54,10 +53,10 @@ def make_backend(kind: str, tmp_path):
         return backend_from_uri(f"sqlite:{tmp_path / 'store.db'}")
     if kind == "shards":
         return backend_from_uri(f"shards:sqlite:{tmp_path / 'shard'}{{0..2}}.db")
-    return backend_from_uri(f"jsonl:{tmp_path / 'store.jsonl'}")
+    raise ValueError(kind)
 
 
-BACKENDS = ["memory", "sqlite", "jsonl", "shards"]
+BACKENDS = ["memory", "sqlite", "shards"]
 
 
 @pytest.fixture
@@ -100,23 +99,27 @@ class TestBackendUri:
     def test_memory(self):
         assert backend_from_uri("memory:").uri == "memory:"
 
-    def test_sqlite_and_jsonl(self, tmp_path):
+    def test_sqlite(self, tmp_path):
         sqlite = backend_from_uri(f"sqlite:{tmp_path / 'a.db'}")
-        jsonl = backend_from_uri(f"jsonl:{tmp_path / 'a.jsonl'}")
         assert isinstance(sqlite, SQLiteBackend)
-        assert isinstance(jsonl, JsonlBackend)
         sqlite.close()
-        jsonl.close()
 
     def test_missing_path_rejected(self):
         with pytest.raises(StoreError):
             backend_from_uri("sqlite:")
-        with pytest.raises(StoreError):
-            backend_from_uri("jsonl:")
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(StoreError):
-            backend_from_uri("redis:somewhere")
+    def test_unknown_scheme_rejected(self, tmp_path, monkeypatch):
+        # "jsonl" names the retired append-only log backend: its old URIs
+        # get the same refusal as any other unknown scheme, and no file.
+        monkeypatch.chdir(tmp_path)
+        for scheme in ("redis", "jsonl"):
+            for location in ("somewhere", "x", ""):
+                with pytest.raises(StoreError) as excinfo:
+                    backend_from_uri(f"{scheme}:{location}")
+                assert "(expected memory:, sqlite:PATH, or shards:TEMPLATE)" in str(
+                    excinfo.value
+                )
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -178,7 +181,7 @@ class TestBackendContract:
         backend.close()
 
 
-@pytest.mark.parametrize("kind", ["sqlite", "jsonl", "shards"])
+@pytest.mark.parametrize("kind", ["sqlite", "shards"])
 class TestDurability:
     def test_records_survive_reopen(self, kind, tmp_path, system):
         backend = make_backend(kind, tmp_path)
@@ -232,37 +235,6 @@ class TestDurability:
         assert not store2.login("alice", shifted(POINTS, 30, 30))
         assert store2.is_locked("alice")
         reopened.close()
-
-
-class TestJsonlLog:
-    def test_delete_and_clear_replay(self, tmp_path, scheme):
-        path = tmp_path / "log.jsonl"
-        backend = JsonlBackend(str(path))
-        backend.put("alice", enroll_password(scheme, POINTS))
-        backend.put("bob", enroll_password(scheme, shifted(POINTS, 7)))
-        backend.delete("alice")
-        backend.close()
-
-        replayed = JsonlBackend(str(path))
-        assert replayed.usernames() == ("bob",)
-        replayed.clear()
-        replayed.close()
-
-        emptied = JsonlBackend(str(path))
-        assert emptied.usernames() == ()
-        emptied.close()
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"op": "put", "username": "x"}\n')
-        with pytest.raises(StoreError):
-            JsonlBackend(str(path))
-
-    def test_unknown_op_rejected(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text('{"op": "frobnicate"}\n')
-        with pytest.raises(StoreError):
-            JsonlBackend(str(path))
 
 
 class TestSQLiteConcurrency:

@@ -36,14 +36,15 @@ SCHEMES = {
     "static": lambda: StaticGridScheme(dim=2, cell_size=19),
 }
 
-BACKENDS = ["memory", "sqlite", "jsonl"]
+BACKENDS = ["memory", "sqlite", "shards"]
 
 
 def make_backend(kind: str, tmp_path, tag: str):
     if kind == "memory":
         return backend_from_uri("memory:")
-    suffix = "db" if kind == "sqlite" else "jsonl"
-    return backend_from_uri(f"{kind}:{tmp_path / f'{tag}.{suffix}'}")
+    if kind == "sqlite":
+        return backend_from_uri(f"sqlite:{tmp_path / f'{tag}.db'}")
+    return backend_from_uri(f"shards:sqlite:{tmp_path / f'{tag}-shard'}{{0..1}}.db")
 
 
 def random_password(rng, image):
